@@ -143,8 +143,9 @@ fn policy_draft_budget(policy: &Policy) -> usize {
 /// reproduces the paper's per-policy draft phases (greedy sequence, beam
 /// tree, adaptive truncation with recycling, two-pass sparse tree).
 ///
-/// [`crate::DecodeSession::draft_round`] constructs one of these around the
-/// model it is given, so the historical API is this drafter's first caller.
+/// A draft *model* reaches [`crate::DecodeSession::draft_round`] wrapped in
+/// one of these; [`crate::DecodeSession::draft_round_via`] wraps a backend
+/// bridge the same way.
 pub struct ModelDrafter<'a, D: ?Sized> {
     model: &'a D,
 }
@@ -275,7 +276,7 @@ where
                 }
             }
         };
-        DraftedRound { plan }
+        DraftedRound::planned(plan)
     }
 }
 
@@ -560,12 +561,14 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{AdaptiveConfig, SpeculativeConfig};
-    use crate::session::DecodeSession;
+    use crate::session::tests::finish;
+    use crate::session::{DecodeSession, PRIVATE_BLOCK_SIZE};
     use specasr_audio::{Corpus, Split};
-    use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_models::{ModelProfile, SimulatedAsrModel, SyncBackendAdapter, TokenizerBinding};
+    use specasr_runtime::KvPool;
 
     fn setup() -> (SimulatedAsrModel, SimulatedAsrModel, Vec<UtteranceTokens>) {
         let corpus = Corpus::librispeech_like(61, 6);
@@ -576,7 +579,7 @@ mod tests {
         (draft, target, audio)
     }
 
-    fn token_map_for(audio: &[UtteranceTokens]) -> TokenMapDrafter {
+    pub(crate) fn token_map_for(audio: &[UtteranceTokens]) -> TokenMapDrafter {
         let sequences: Vec<Vec<TokenId>> = audio
             .iter()
             .map(|utt| {
@@ -587,6 +590,31 @@ mod tests {
             .collect();
         let index = TokenMapIndex::build_default(sequences.iter().map(Vec::as_slice));
         TokenMapDrafter::new(Arc::new(index))
+    }
+
+    /// A fresh session for `audio` drafting from `drafter`, over a pool of
+    /// its own.
+    fn session_for(policy: Policy, audio: &UtteranceTokens, kind: DrafterKind) -> DecodeSession {
+        let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+        DecodeSession::new(policy, audio.clone(), kind, &[], &mut pool).expect("unbounded")
+    }
+
+    /// Decodes `audio` to completion drafting from `drafter`.
+    fn decode_with<D, T>(
+        policy: Policy,
+        audio: &UtteranceTokens,
+        drafter: &D,
+        target: &T,
+    ) -> DecodeSession
+    where
+        D: Drafter + ?Sized,
+        T: AsrDecoderModel + ?Sized,
+    {
+        let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+        let mut session = DecodeSession::new(policy, audio.clone(), drafter.kind(), &[], &mut pool)
+            .expect("unbounded");
+        finish(&mut session, &mut pool, drafter, target);
+        session
     }
 
     fn all_policies() -> Vec<Policy> {
@@ -614,17 +642,19 @@ mod tests {
     #[test]
     fn model_drafter_matches_the_session_draft_loop() {
         let (draft, _, audio) = setup();
+        let mut backend = SyncBackendAdapter::new(&draft);
         for policy in all_policies() {
-            let mut a = DecodeSession::new(policy, audio[0].clone());
-            let mut b = DecodeSession::new(policy, audio[0].clone());
-            let via_session = a.draft_round(&draft);
-            let via_drafter = b.draft_round_with(&ModelDrafter::new(&draft));
+            let mut a = session_for(policy, &audio[0], DrafterKind::ModelDraft);
+            let mut b = session_for(policy, &audio[0], DrafterKind::ModelDraft);
+            let via_backend = a.draft_round_via(&mut backend, 0.0);
+            let via_drafter = b.draft_round(&ModelDrafter::new(&draft));
             assert_eq!(
-                via_session,
+                via_backend,
                 via_drafter,
-                "draft_round must delegate to ModelDrafter under {}",
+                "draft_round_via must match ModelDrafter under {}",
                 policy.name()
             );
+            assert_eq!(a.clock(), b.clock());
         }
     }
 
@@ -634,12 +664,7 @@ mod tests {
         for policy in all_policies() {
             for utt in audio.iter().take(3) {
                 let ctc = CtcDrafter::paired(&target);
-                let mut session =
-                    DecodeSession::new_with_drafter(policy, utt.clone(), DrafterKind::CtcEncoder);
-                while !session.is_finished() {
-                    let drafted = session.draft_round_with(&ctc);
-                    session.verify_round(&target, drafted);
-                }
+                let session = decode_with(policy, utt, &ctc, &target);
                 let offline = policy.decode(&draft, &target, utt).tokens;
                 assert_eq!(
                     session.tokens(),
@@ -657,12 +682,7 @@ mod tests {
         let map = token_map_for(&audio);
         for policy in all_policies() {
             for utt in audio.iter().take(3) {
-                let mut session =
-                    DecodeSession::new_with_drafter(policy, utt.clone(), DrafterKind::TokenMap);
-                while !session.is_finished() {
-                    let drafted = session.draft_round_with(&map);
-                    session.verify_round(&target, drafted);
-                }
+                let session = decode_with(policy, utt, &map, &target);
                 let offline = policy.decode(&draft, &target, utt).tokens;
                 assert_eq!(
                     session.tokens(),
@@ -679,12 +699,7 @@ mod tests {
         let (_, target, audio) = setup();
         let ctc = CtcDrafter::paired(&target);
         let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
-        let mut session =
-            DecodeSession::new_with_drafter(policy, audio[0].clone(), DrafterKind::CtcEncoder);
-        while !session.is_finished() {
-            let drafted = session.draft_round_with(&ctc);
-            session.verify_round(&target, drafted);
-        }
+        let session = decode_with(policy, &audio[0], &ctc, &target);
         assert_eq!(session.clock().draft_passes(), 0);
         assert_eq!(session.clock().breakdown().draft_ms, 0.0);
     }
@@ -730,20 +745,12 @@ mod tests {
         let (_, target, audio) = setup();
         let ctc = CtcDrafter::paired(&target);
         let map = token_map_for(&audio);
-        let mut session = DecodeSession::new_with_drafter(
-            Policy::Autoregressive,
-            audio[0].clone(),
-            DrafterKind::CtcEncoder,
-        );
-        let drafted = session.draft_round_with(&ctc);
+        let mut session = session_for(Policy::Autoregressive, &audio[0], DrafterKind::CtcEncoder);
+        let drafted = session.draft_round(&ctc);
         assert_eq!(drafted.predicted_tokens(), 0);
         assert_eq!(drafted.verify_tokens(), 1);
-        let mut session = DecodeSession::new_with_drafter(
-            Policy::Autoregressive,
-            audio[0].clone(),
-            DrafterKind::TokenMap,
-        );
-        let drafted = session.draft_round_with(&map);
+        let mut session = session_for(Policy::Autoregressive, &audio[0], DrafterKind::TokenMap);
+        let drafted = session.draft_round(&map);
         assert_eq!(drafted.predicted_tokens(), 0);
     }
 }

@@ -9,9 +9,10 @@
 //! prediction).  Everything else in the stack is policy-agnostic and
 //! receives the policy as data:
 //!
-//! - [`Policy::decode`] runs a one-shot blocking decode by driving a
-//!   [`crate::DecodeSession`] to completion — the offline path used by the
-//!   figure binaries and as the byte-identical reference in tests.
+//! - [`Policy::decode`] is the one blocking decode: it drives a
+//!   [`crate::DecodeSession`] to completion over an unbounded KV pool of its
+//!   own — the offline path used by the figure binaries and as the
+//!   byte-identical reference in tests.
 //! - The serving scheduler carries the policy inside each queued request and
 //!   steps the same session type round by round, interleaved across a batch.
 //! - The draft phase of a round is produced by a [`crate::Drafter`]; the
@@ -26,10 +27,12 @@
 
 use serde::{Deserialize, Serialize};
 use specasr_models::{AsrDecoderModel, UtteranceTokens};
+use specasr_runtime::KvPool;
 
 use crate::config::{AdaptiveConfig, SparseTreeConfig, SpeculativeConfig};
+use crate::drafter::{DrafterKind, ModelDrafter};
 use crate::outcome::DecodeOutcome;
-use crate::session::DecodeSession;
+use crate::session::{DecodeSession, PRIVATE_BLOCK_SIZE};
 
 /// A fully specified decoding policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,18 +64,35 @@ impl Policy {
         }
     }
 
-    /// Decodes `audio` with this policy.  The autoregressive policy ignores
-    /// the draft model.
+    /// Decodes `audio` with this policy — the one blocking decode.  The
+    /// autoregressive policy ignores the draft model.
     ///
-    /// Equivalent to running a [`crate::DecodeSession`] for this policy to
-    /// completion — which is exactly what it does, so blocking decodes and
-    /// round-interleaved (scheduled) decodes share one code path.
+    /// Drives a [`DecodeSession`] to completion over an unbounded KV pool
+    /// this call owns, so blocking decodes and round-interleaved (scheduled)
+    /// decodes share one code path.
     pub fn decode<D, T>(&self, draft: &D, target: &T, audio: &UtteranceTokens) -> DecodeOutcome
     where
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
-        DecodeSession::new(*self, audio.clone()).run(draft, target)
+        let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+        let mut session = DecodeSession::new(
+            *self,
+            audio.clone(),
+            DrafterKind::ModelDraft,
+            &[],
+            &mut pool,
+        )
+        .expect("an unbounded pool always admits");
+        let drafter = ModelDrafter::new(draft);
+        while !session.is_finished() {
+            let drafted = session.draft_round(&drafter);
+            session
+                .verify_round(&mut pool, target, drafted)
+                .expect("an unbounded pool never exhausts");
+        }
+        session.release_kv(&mut pool);
+        session.into_outcome()
     }
 
     /// The baselines used throughout the paper's evaluation: autoregressive

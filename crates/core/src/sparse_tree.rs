@@ -8,68 +8,12 @@
 //! recycling rule), so the tree stays narrow while covering the most likely
 //! verification failures.  The whole tree is then verified by the target in a
 //! single forward pass using the SpecInfer 2-D attention mask.
+//!
+//! Both passes live in [`crate::ModelDrafter`]; this module holds the
+//! trunk-merge rule they share and the policy's behaviour tests, run
+//! through [`crate::Policy::decode`].
 
-use specasr_models::{AsrDecoderModel, UtteranceTokens};
 use specasr_tokenizer::TokenId;
-
-use crate::config::SparseTreeConfig;
-use crate::outcome::DecodeOutcome;
-use crate::policy::Policy;
-use crate::session::DecodeSession;
-
-/// SpecASR's two-pass sparse-tree decoder.
-///
-/// # Example
-///
-/// ```
-/// use specasr::{SparseTreeConfig, SparseTreeDecoder};
-/// use specasr_audio::{Corpus, Split};
-/// use specasr_models::{AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding};
-///
-/// let corpus = Corpus::librispeech_like(1, 1);
-/// let binding = TokenizerBinding::for_corpus(&corpus);
-/// let audio = binding.bind(&corpus.split(Split::TestClean)[0]);
-/// let target = SimulatedAsrModel::target(ModelProfile::vicuna_13b(), 7);
-/// let draft = SimulatedAsrModel::draft_paired(ModelProfile::tiny_llama_1b(), 8, &target);
-///
-/// let outcome = SparseTreeDecoder::new(SparseTreeConfig::paper()).decode(&draft, &target, &audio);
-/// assert_eq!(outcome.tokens, target.greedy_transcript(&audio)); // lossless
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparseTreeDecoder {
-    config: SparseTreeConfig,
-}
-
-impl SparseTreeDecoder {
-    /// Creates a decoder with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`SparseTreeConfig::validate`]).
-    pub fn new(config: SparseTreeConfig) -> Self {
-        config.validate();
-        SparseTreeDecoder { config }
-    }
-
-    /// The decoder configuration.
-    pub fn config(&self) -> &SparseTreeConfig {
-        &self.config
-    }
-
-    /// Decodes `audio`, drafting with `draft` and verifying with `target`.
-    ///
-    /// Runs a [`DecodeSession`] to completion; the two-pass trunk/branch
-    /// drafting and the grouped tree verification live in
-    /// [`crate::DecodeSession`].
-    pub fn decode<D, T>(&self, draft: &D, target: &T, audio: &UtteranceTokens) -> DecodeOutcome
-    where
-        D: AsrDecoderModel + ?Sized,
-        T: AsrDecoderModel + ?Sized,
-    {
-        DecodeSession::new(Policy::TwoPassSparseTree(self.config), audio.clone()).run(draft, target)
-    }
-}
 
 /// Finds the trunk index near `slot` holding `token`, within `merge_offset`.
 pub(crate) fn merge_slot(
@@ -91,11 +35,13 @@ pub(crate) fn merge_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::AdaptiveDecoder;
-    use crate::config::AdaptiveConfig;
+    use crate::config::{AdaptiveConfig, SparseTreeConfig};
+    use crate::policy::Policy;
     use crate::stats::DecodeStats;
     use specasr_audio::{Corpus, Split};
-    use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
+    use specasr_models::{
+        AsrDecoderModel, ModelProfile, SimulatedAsrModel, TokenizerBinding, UtteranceTokens,
+    };
 
     fn setup(
         target_profile: ModelProfile,
@@ -112,10 +58,10 @@ mod tests {
     #[test]
     fn sparse_tree_decoding_is_lossless() {
         let (draft, target, audio) = setup(ModelProfile::whisper_medium_en(), Split::TestOther);
-        let decoder = SparseTreeDecoder::new(SparseTreeConfig::paper());
+        let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
         for utt in &audio {
             assert_eq!(
-                decoder.decode(&draft, &target, utt).tokens,
+                policy.decode(&draft, &target, utt).tokens,
                 target.greedy_transcript(utt)
             );
         }
@@ -124,11 +70,11 @@ mod tests {
     #[test]
     fn trees_contain_branches_on_noisy_audio() {
         let (draft, target, audio) = setup(ModelProfile::whisper_medium_en(), Split::TestOther);
-        let decoder = SparseTreeDecoder::new(SparseTreeConfig::paper());
+        let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
         let mut total_tree = 0usize;
         let mut total_predicted = 0usize;
         for utt in &audio {
-            let outcome = decoder.decode(&draft, &target, utt);
+            let outcome = policy.decode(&draft, &target, utt);
             total_tree += outcome
                 .stats
                 .rounds_detail
@@ -147,8 +93,8 @@ mod tests {
         // the bottleneck, and the sparse tree's higher accepted length per
         // round pays off.
         let (draft, target, audio) = setup(ModelProfile::vicuna_13b(), Split::TestClean);
-        let adaptive = AdaptiveDecoder::new(AdaptiveConfig::paper());
-        let sparse = SparseTreeDecoder::new(SparseTreeConfig::paper());
+        let adaptive = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+        let sparse = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
         let mut adaptive_target_ms = 0.0;
         let mut sparse_target_ms = 0.0;
         for utt in &audio {
@@ -164,10 +110,9 @@ mod tests {
     #[test]
     fn accepted_length_per_round_exceeds_the_baseline() {
         use crate::config::SpeculativeConfig;
-        use crate::speculative::SpeculativeDecoder;
         let (draft, target, audio) = setup(ModelProfile::whisper_medium_en(), Split::TestClean);
-        let baseline = SpeculativeDecoder::new(SpeculativeConfig::short_single());
-        let sparse = SparseTreeDecoder::new(SparseTreeConfig::paper());
+        let baseline = Policy::Speculative(SpeculativeConfig::short_single());
+        let sparse = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
         let mut baseline_stats = DecodeStats::new();
         let mut sparse_stats = DecodeStats::new();
         for utt in &audio {
@@ -189,7 +134,7 @@ mod tests {
             max_branches: 0,
             ..SparseTreeConfig::paper()
         };
-        let outcome = SparseTreeDecoder::new(config).decode(&draft, &target, &audio[0]);
+        let outcome = Policy::TwoPassSparseTree(config).decode(&draft, &target, &audio[0]);
         for round in &outcome.stats.rounds_detail {
             assert_eq!(round.tree_size, round.predicted);
         }

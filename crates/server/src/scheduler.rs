@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy};
+use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy, ProbeTableModel};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, DeviceTimeline,
@@ -822,7 +822,7 @@ where
                         .find(|(k, _)| *k == kind)
                         .map(|(_, drafter)| drafter)
                         .expect("draft-free sessions are only admitted with an installed drafter");
-                    session.decode.draft_round_with(drafter.as_ref())
+                    session.decode.draft_round(drafter.as_ref())
                 }
             };
             let spent = session.decode.clock().breakdown().draft_ms - before;
@@ -1040,9 +1040,10 @@ where
             let wave_service_ms = (result.completed_ms - result.started_ms).max(0.0);
             let session = &mut self.active[index];
             let rounds_before = session.decode.stats().rounds_detail.len();
+            let scored = ProbeTableModel::new(&target_profile, &result, &round);
             session
                 .decode
-                .verify_round_from_in(&mut self.kv, &target_profile, &result, round)
+                .verify_round(&mut self.kv, &scored, round)
                 .expect("headroom was ensured before verification");
             // Speculation accounting: the round's drafted/accepted counts
             // (everything the verify pass just recorded) and its share of

@@ -143,27 +143,17 @@ impl QueuedRequest {
         admitted_ms: f64,
         pool: &mut KvPool,
     ) -> Result<ServerSession, Box<(QueuedRequest, PoolError)>> {
-        let started = match &self.stream {
-            None => DecodeSession::new_in_with_drafter(
-                self.policy,
-                self.audio.clone(),
-                self.drafter,
-                pool,
-            ),
-            Some(stream) => {
-                let view = stream
+        let (audio, committed) = match &self.stream {
+            None => (self.audio.clone(), &[][..]),
+            Some(stream) => (
+                stream
                     .session
                     .view()
-                    .expect("queued streaming requests always have a decodable view");
-                DecodeSession::resume_in_with_drafter(
-                    self.policy,
-                    view,
-                    self.drafter,
-                    stream.session.committed(),
-                    pool,
-                )
-            }
+                    .expect("queued streaming requests always have a decodable view"),
+                stream.session.committed(),
+            ),
         };
+        let started = DecodeSession::new(self.policy, audio, self.drafter, committed, pool);
         match started {
             Ok(decode) => {
                 if let Some(stream) = self.stream.as_mut() {

@@ -2,7 +2,10 @@
 //! the committed prefix, and the lossless partial-commit rule.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeOutcome, DecodeSession, DecodeStats, Policy};
+use specasr::{
+    DecodeOutcome, DecodeSession, DecodeStats, DrafterKind, ModelDrafter, Policy,
+    PRIVATE_BLOCK_SIZE,
+};
 use specasr_models::{AsrDecoderModel, DecodeClock, UtteranceTokens};
 use specasr_runtime::{KvPool, PoolError};
 use specasr_tokenizer::TokenId;
@@ -37,8 +40,8 @@ pub struct PartialTranscript {
 /// transcript tokens that are never retracted.
 ///
 /// The decode itself runs through [`specasr::DecodeSession`] — either the
-/// one-call [`StreamingSession::redecode`] (standalone use, private KV pool)
-/// or the [`StreamingSession::resume_decode_in`] /
+/// one-call [`StreamingSession::redecode`] (standalone use, over a KV pool it
+/// owns) or the [`StreamingSession::resume_decode`] /
 /// [`StreamingSession::absorb`] pair (serving use: the scheduler steps the
 /// session round by round against its shared paged pool, and may preempt and
 /// deterministically restore it between rounds).
@@ -203,22 +206,14 @@ impl StreamingSession {
     }
 
     /// Starts the re-decode of the current view from the committed prefix,
-    /// against a private KV pool (standalone use).  Returns `None` while the
-    /// view is empty.
-    pub fn resume_decode(&self) -> Option<DecodeSession> {
+    /// allocating from `pool` (see [`specasr::DecodeSession::new`] for
+    /// sharing and error semantics).  Returns `None` while the view is empty.
+    pub fn resume_decode(&self, pool: &mut KvPool) -> Option<Result<DecodeSession, PoolError>> {
         let view = self.view()?;
-        Some(DecodeSession::resume(self.policy, view, &self.committed))
-    }
-
-    /// Starts the re-decode of the current view from the committed prefix
-    /// against a shared paged pool (the serving path; see
-    /// [`specasr::DecodeSession::resume_in`] for sharing and error
-    /// semantics).  Returns `None` while the view is empty.
-    pub fn resume_decode_in(&self, pool: &mut KvPool) -> Option<Result<DecodeSession, PoolError>> {
-        let view = self.view()?;
-        Some(DecodeSession::resume_in(
+        Some(DecodeSession::new(
             self.policy,
             view,
+            DrafterKind::ModelDraft,
             &self.committed,
             pool,
         ))
@@ -228,8 +223,7 @@ impl StreamingSession {
     /// statistics, applies the commit rule, and emits the partial.
     ///
     /// The caller must pass the outcome of a session started by
-    /// [`StreamingSession::resume_decode`] /
-    /// [`StreamingSession::resume_decode_in`] *after the last
+    /// [`StreamingSession::resume_decode`] *after the last
     /// [`StreamingSession::push_audio`] call* — the commit rule trusts that
     /// the hypothesis extends the committed prefix at the current horizon.
     ///
@@ -298,20 +292,27 @@ impl StreamingSession {
         partial
     }
 
-    /// One complete streaming step against a private pool: re-decode the
-    /// current view to its end and absorb the result.  Returns `None` while
-    /// no token is audible yet.
+    /// One complete streaming step: re-decode the current view to its end
+    /// over an unbounded KV pool this call owns, and absorb the result.
+    /// Returns `None` while no token is audible yet.
     pub fn redecode<D, T>(&mut self, draft: &D, target: &T) -> Option<PartialTranscript>
     where
         D: AsrDecoderModel + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
-        let mut session = self.resume_decode()?;
+        let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+        let mut session = self
+            .resume_decode(&mut pool)?
+            .expect("an unbounded pool always admits");
+        let drafter = ModelDrafter::new(draft);
         while !session.is_finished() {
-            session.step(draft, target);
+            let drafted = session.draft_round(&drafter);
+            session
+                .verify_round(&mut pool, target, drafted)
+                .expect("an unbounded pool never exhausts");
         }
-        let outcome = session.into_outcome();
-        Some(self.absorb(&outcome))
+        session.release_kv(&mut pool);
+        Some(self.absorb(&session.into_outcome()))
     }
 }
 
@@ -518,9 +519,7 @@ mod tests {
         assert!(first.is_final);
         // Absorbing an outcome that does not extend the committed transcript
         // must be rejected.
-        let mut other = StreamingSession::new(policy, audio[1].clone(), StreamConfig::default());
-        other.push_audio(audio[1].duration_seconds());
-        let stale = other.resume_decode().expect("audible").run(&draft, &target);
+        let stale = policy.decode(&draft, &target, &audio[1]);
         session.absorb(&stale);
     }
 
@@ -536,14 +535,15 @@ mod tests {
         let mut pooled = StreamingSession::new(policy, audio[2].clone(), config);
         for chunk in chunk_schedule(audio[2].duration_seconds(), &config.chunk) {
             pooled.push_audio(chunk.end_seconds);
-            let Some(result) = pooled.resume_decode_in(&mut pool) else {
+            let Some(result) = pooled.resume_decode(&mut pool) else {
                 continue;
             };
             let mut session = result.expect("pool has room");
+            let drafter = ModelDrafter::new(&draft);
             while !session.is_finished() {
-                let drafted = session.draft_round(&draft);
+                let drafted = session.draft_round(&drafter);
                 session
-                    .verify_round_in(&mut pool, &target, drafted)
+                    .verify_round(&mut pool, &target, drafted)
                     .expect("pool has room");
             }
             session.release_kv(&mut pool);

@@ -66,20 +66,54 @@ pub const MAX_DEPTH_BUCKET: u64 = 8;
 ///
 /// A single `total - partial_sum` correction is almost always exact, but the
 /// final addition can re-round; the bounded fix-up loop nudges the residual
-/// until the fold lands on `total` exactly.
+/// until the fold lands on `total` exactly.  One case no final element can
+/// close: when the fold of the earlier parts sits exactly half an ulp of
+/// `total` off its grid, every sum is a tie that rounds to even, so an odd
+/// `total` is unreachable.  Then the last earlier non-zero part is re-closed
+/// so the earlier parts fold a few ulps above (or below) where they did, off
+/// the tie, and the final element closes again.  (One ulp is not always
+/// enough: the earlier parts can sit on a tie of their own, which makes
+/// every other ulp of their fold unreachable.)
 fn close_residual(total: f64, parts: &mut [f64]) {
     let Some((last, head)) = parts.split_last_mut() else {
         return;
     };
-    let base = head.iter().fold(0.0_f64, |acc, part| acc + part);
+    if close_last(total, head, last) {
+        return;
+    }
+    let Some(index) = head.iter().rposition(|&part| part != 0.0) else {
+        return;
+    };
+    let original = head[index];
+    let (mut up, mut down) = (fold(head), fold(head));
+    for _ in 0..4 {
+        up = up.next_up();
+        down = down.next_down();
+        for shifted in [up, down] {
+            // Every part after `index` is zero, so the head folds to
+            // `shifted` once its prefix through `index` does.
+            let (before, rest) = head.split_at_mut(index);
+            if close_last(shifted, before, &mut rest[0]) && close_last(total, head, last) {
+                return;
+            }
+        }
+    }
+    head[index] = original;
+    close_last(total, head, last);
+}
+
+/// Sets `last` so `fold(head) + last == total`, reporting whether it landed.
+fn close_last(total: f64, head: &[f64], last: &mut f64) -> bool {
+    let base = fold(head);
     *last = total - base;
     for _ in 0..64 {
         let sum = base + *last;
         if sum == total {
-            return;
+            return true;
         }
         *last += total - sum;
     }
+    false
 }
 
 /// Flat left-fold of a component list — *the* reconciliation sum.
@@ -1245,10 +1279,34 @@ mod tests {
 
     #[test]
     fn close_residual_lands_exactly_on_awkward_totals() {
-        let total = 0.1 + 0.2 + 0.3 + 1e-9;
-        let mut parts = [0.1, 0.2, 0.3, 0.0];
-        close_residual(total, &mut parts);
-        assert_eq!(fold(&parts).to_bits(), total.to_bits());
+        let cases: [(f64, Vec<f64>); 3] = [
+            (0.1 + 0.2 + 0.3 + 1e-9, vec![0.1, 0.2, 0.3, 0.0]),
+            // A tie: the head folds to an odd multiple of half the total's
+            // ulp, so every `head + last` rounds to even and this odd total
+            // is reachable only by nudging the head.
+            (3.5 + 2.0 * f64::EPSILON, vec![1.0 + f64::EPSILON, 0.0]),
+            // A nested tie: the parts before the last non-zero head part
+            // fold to a tie of their own, so the head's fold only moves in
+            // steps of two ulps (a request's components from a streaming
+            // run).
+            (
+                11125.345217908829,
+                vec![
+                    529.7100000000137,
+                    0.0,
+                    37.5834891376336,
+                    260.7400000000016,
+                    0.0,
+                    0.0,
+                    1133.3999999999942,
+                    0.0,
+                ],
+            ),
+        ];
+        for (total, mut parts) in cases {
+            close_residual(total, &mut parts);
+            assert_eq!(fold(&parts).to_bits(), total.to_bits(), "{parts:?}");
+        }
         let mut empty: [f64; 0] = [];
         close_residual(1.0, &mut empty); // must not panic
     }

@@ -10,12 +10,16 @@
 //! all be unobservable in the transcript.
 
 use proptest::prelude::*;
-use specasr::{AdaptiveConfig, DecodeSession, Policy, SparseTreeConfig, SpeculativeConfig};
+use specasr::{
+    AdaptiveConfig, DecodeSession, DrafterKind, Policy, ProbeTableModel, SparseTreeConfig,
+    SpeculativeConfig, PRIVATE_BLOCK_SIZE,
+};
 use specasr_audio::Split;
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, ForwardResult, SyncBackendAdapter,
-    Ticket,
+    Ticket, UtteranceTokens,
 };
+use specasr_runtime::KvPool;
 use specasr_suite::StandardSetup;
 
 fn policies() -> Vec<Policy> {
@@ -36,13 +40,20 @@ fn shuffle<T>(items: &mut [T], mut state: u64) {
     }
 }
 
+/// Starts a model-draft session for `audio` over `pool`.
+fn start(policy: Policy, audio: UtteranceTokens, pool: &mut KvPool) -> DecodeSession {
+    DecodeSession::new(policy, audio, DrafterKind::ModelDraft, &[], pool).expect("unbounded")
+}
+
 /// Drives every session to completion through shared backends: drafts in a
 /// rotated per-round order, verification submitted as cross-session batches
 /// of `group_size`, completions drained with `poll` and committed in a
-/// shuffled order.  Returns the transcripts by session index.
+/// shuffled order.  Returns the transcripts by session index; every session
+/// releases its blocks back to `pool` as it finishes.
 fn decode_all_via_backend(
     setup: &StandardSetup,
     sessions: &mut Vec<(usize, DecodeSession)>,
+    pool: &mut KvPool,
     group_size: usize,
     order_seed: u64,
 ) -> Vec<(usize, Vec<specasr_tokenizer::TokenId>)> {
@@ -85,12 +96,16 @@ fn decode_all_via_backend(
         for index in commit_order {
             let result = scored[index].take().expect("scored above");
             let (_, session) = &mut sessions[index];
-            session.verify_round_from(&target_profile, &result, drafted[index].clone());
+            let scored = ProbeTableModel::new(&target_profile, &result, &drafted[index]);
+            session
+                .verify_round(pool, &scored, drafted[index].clone())
+                .expect("unbounded");
         }
         let mut index = 0;
         while index < sessions.len() {
             if sessions[index].1.is_finished() {
-                let (id, session) = sessions.remove(index);
+                let (id, mut session) = sessions.remove(index);
+                session.release_kv(pool);
                 transcripts.push((id, session.into_outcome().tokens));
             } else {
                 index += 1;
@@ -106,15 +121,17 @@ fn decode_all_via_backend(
 fn backend_batched_decoding_matches_direct_decoding_for_all_policies() {
     let setup = StandardSetup::new(99, 4);
     let split = setup.corpus.split(Split::TestClean);
+    let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
     let mut sessions = Vec::new();
     let mut references = Vec::new();
     for (index, utterance) in split.iter().enumerate() {
         let policy = policies()[index % policies().len()];
         let audio = setup.binding.bind(utterance);
         references.push(policy.decode(&setup.draft, &setup.target, &audio).tokens);
-        sessions.push((index, DecodeSession::new(policy, audio)));
+        sessions.push((index, start(policy, audio, &mut pool)));
     }
-    let transcripts = decode_all_via_backend(&setup, &mut sessions, usize::MAX, 7);
+    let transcripts = decode_all_via_backend(&setup, &mut sessions, &mut pool, usize::MAX, 7);
+    assert_eq!(pool.used_blocks(), 0);
     for (index, tokens) in transcripts {
         assert_eq!(tokens, references[index], "session {index}");
     }
@@ -137,15 +154,17 @@ proptest! {
         let setup = StandardSetup::new(seed, 3);
         let split = setup.corpus.split(Split::DevClean);
         let menu = policies();
+        let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
         let mut sessions = Vec::new();
         let mut references = Vec::new();
         for (index, utterance) in split.iter().enumerate() {
             let policy = menu[(index + policy_offset) % menu.len()];
             let audio = setup.binding.bind(utterance);
             references.push(policy.decode(&setup.draft, &setup.target, &audio).tokens);
-            sessions.push((index, DecodeSession::new(policy, audio)));
+            sessions.push((index, start(policy, audio, &mut pool)));
         }
-        let transcripts = decode_all_via_backend(&setup, &mut sessions, group_size, order_seed);
+        let transcripts =
+            decode_all_via_backend(&setup, &mut sessions, &mut pool, group_size, order_seed);
         prop_assert_eq!(transcripts.len(), references.len());
         for (index, tokens) in transcripts {
             prop_assert_eq!(&tokens, &references[index], "session {}", index);

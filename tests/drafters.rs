@@ -1,15 +1,15 @@
 //! Draft-free speculation tests: CTC-encoder and token-map drafters must be
 //! byte-identical to offline pipeline decoding under the same lossless
-//! verification — for every policy, with private and pooled KV alike — while
-//! allocating *zero* draft sub-pool blocks and dispatching zero draft-lane
+//! verification — for every policy, over unbounded and bounded pools alike —
+//! while allocating *zero* draft sub-pool blocks and dispatching zero draft-lane
 //! backend work.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use specasr::{
-    AdaptiveConfig, DecodeSession, Drafter, DrafterKind, Policy, SparseTreeConfig,
-    SpeculativeConfig, TokenMapDrafter,
+    AdaptiveConfig, DecodeOutcome, DecodeSession, Drafter, DrafterKind, Policy, SparseTreeConfig,
+    SpeculativeConfig, TokenMapDrafter, PRIVATE_BLOCK_SIZE,
 };
 use specasr_audio::{EncoderProfile, Split};
 use specasr_models::{AsrDecoderModel, CtcDrafter, UtteranceTokens};
@@ -50,60 +50,38 @@ fn drafters_for(setup: &StandardSetup, audio: &[UtteranceTokens]) -> Vec<Box<dyn
     ]
 }
 
-/// Decodes one utterance with a draft-free drafter against a private KV pool.
-fn decode_private(
-    setup: &StandardSetup,
-    policy: Policy,
-    drafter: &dyn Drafter,
-    audio: &UtteranceTokens,
-) -> Vec<TokenId> {
-    let mut session = DecodeSession::new_with_drafter(policy, audio.clone(), drafter.kind());
-    loop {
-        let drafted = session.draft_round_with(drafter);
-        if session.verify_round(&setup.target, drafted) {
-            break;
-        }
-    }
-    session.tokens().to_vec()
-}
-
-/// Decodes one utterance with a draft-free drafter against a shared pool,
-/// asserting at every round that no draft sub-pool blocks are demanded or
-/// held.
-fn decode_pooled(
+/// Decodes one utterance with a draft-free drafter over `pool`, asserting at
+/// every round that no draft sub-pool blocks are demanded or held, and that
+/// releasing the session leaves the pool empty.
+fn decode_with(
     setup: &StandardSetup,
     policy: Policy,
     drafter: &dyn Drafter,
     audio: &UtteranceTokens,
     pool: &mut KvPool,
-) -> Vec<TokenId> {
-    let mut session =
-        DecodeSession::new_in_with_drafter(policy, audio.clone(), drafter.kind(), pool)
-            .expect("the test pool admits a single session");
+) -> DecodeOutcome {
+    let mut session = DecodeSession::new(policy, audio.clone(), drafter.kind(), &[], pool)
+        .expect("the test pool admits a single session");
     assert_eq!(
         pool.sub_pool_used_blocks().0,
         0,
         "a draft-free session must not prefill the draft sub-pool"
     );
-    loop {
-        let drafted = session.draft_round_with(drafter);
+    while !session.is_finished() {
+        let drafted = session.draft_round(drafter);
         assert_eq!(
             session.round_kv_demand(pool, &drafted).draft_blocks,
             0,
             "a draft-free round must demand no draft sub-pool blocks"
         );
-        let finished = session
-            .verify_round_in(pool, &setup.target, drafted)
+        session
+            .verify_round(pool, &setup.target, drafted)
             .expect("the test pool covers the whole decode");
         assert_eq!(pool.sub_pool_used_blocks().0, 0);
-        if finished {
-            break;
-        }
     }
-    let tokens = session.tokens().to_vec();
     session.release_kv(pool);
     assert_eq!(pool.sub_pool_used_blocks(), (0, 0), "no leaked blocks");
-    tokens
+    session.into_outcome()
 }
 
 #[test]
@@ -114,7 +92,8 @@ fn draft_free_drafters_are_lossless_for_every_policy() {
         for policy in all_policies() {
             for utt in &audio {
                 let reference = policy.decode(&setup.draft, &setup.target, utt).tokens;
-                let got = decode_private(&setup, policy, drafter.as_ref(), utt);
+                let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+                let got = decode_with(&setup, policy, drafter.as_ref(), utt, &mut pool).tokens;
                 assert_eq!(
                     got,
                     reference,
@@ -136,7 +115,7 @@ fn draft_free_sessions_hold_zero_draft_sub_pool_blocks() {
             let mut pool = KvPool::bounded(256, 16);
             for utt in &audio {
                 let reference = policy.decode(&setup.draft, &setup.target, utt).tokens;
-                let got = decode_pooled(&setup, policy, drafter.as_ref(), utt, &mut pool);
+                let got = decode_with(&setup, policy, drafter.as_ref(), utt, &mut pool).tokens;
                 assert_eq!(got, reference);
             }
         }
@@ -148,7 +127,7 @@ proptest! {
 
     /// Random corpus/model seeds: both draft-free drafters stay
     /// byte-identical to offline pipeline decoding across every policy, with
-    /// private and pooled KV alike.
+    /// unbounded and bounded pools alike.
     #[test]
     fn draft_free_losslessness_holds_for_random_seeds(
         seed in 0u64..10_000,
@@ -161,12 +140,12 @@ proptest! {
         for drafter in drafters_for(&setup, &audio) {
             for utt in &audio {
                 let reference = policy.decode(&setup.draft, &setup.target, utt).tokens;
-                let got = if pooled {
-                    let mut pool = KvPool::bounded(512, 16);
-                    decode_pooled(&setup, policy, drafter.as_ref(), utt, &mut pool)
+                let mut pool = if pooled {
+                    KvPool::bounded(512, 16)
                 } else {
-                    decode_private(&setup, policy, drafter.as_ref(), utt)
+                    KvPool::unbounded(PRIVATE_BLOCK_SIZE)
                 };
+                let got = decode_with(&setup, policy, drafter.as_ref(), utt, &mut pool).tokens;
                 prop_assert_eq!(
                     &got,
                     &reference,
@@ -175,6 +154,46 @@ proptest! {
                     policy.name()
                 );
             }
+        }
+    }
+}
+
+/// With an external drafter the policy's own draft loop is bypassed: the
+/// drafter proposes up to the policy's budget and verification treats the
+/// draft as a plain sequence.  So adaptive single-sequence and two-pass
+/// sparse-tree prediction at the same budget (the paper configurations: 24
+/// and 24) are identical by construction — tokens, stats, clock and cache
+/// summaries alike.
+#[test]
+fn external_drafters_make_asp_and_tsp_identical_at_equal_budgets() {
+    let setup = StandardSetup::new(305, 4);
+    let audio = setup.binding.bind_all(setup.corpus.split(Split::TestOther));
+    let asp = AdaptiveConfig::paper();
+    let tsp = SparseTreeConfig::paper();
+    assert_eq!(asp.max_prediction_length, tsp.max_prediction_length);
+    for drafter in drafters_for(&setup, &audio) {
+        for utt in &audio {
+            let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+            let adaptive = decode_with(
+                &setup,
+                Policy::AdaptiveSingleSequence(asp),
+                drafter.as_ref(),
+                utt,
+                &mut pool,
+            );
+            let tree = decode_with(
+                &setup,
+                Policy::TwoPassSparseTree(tsp),
+                drafter.as_ref(),
+                utt,
+                &mut pool,
+            );
+            assert_eq!(
+                format!("{adaptive:?}"),
+                format!("{tree:?}"),
+                "{:?}",
+                drafter.kind()
+            );
         }
     }
 }
