@@ -318,12 +318,45 @@ pub trait AsrBackend {
     fn counters(&self) -> BackendCounters;
 }
 
+/// Completed results not yet drained, served in the order the
+/// [`AsrBackend`] contract fixes: `poll` sorts by completion time, ties by
+/// ticket.  The simulated backends and the RPC client's mirror of its
+/// worker share it, so both drain identically.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CompletionQueue(Vec<ForwardResult>);
+
+impl CompletionQueue {
+    /// Queues completed results.
+    pub(crate) fn extend(&mut self, results: impl IntoIterator<Item = ForwardResult>) {
+        self.0.extend(results);
+    }
+
+    /// Drains every queued result, ordered by completion time (ties by
+    /// ticket).
+    pub(crate) fn poll(&mut self) -> Vec<ForwardResult> {
+        let mut drained = std::mem::take(&mut self.0);
+        drained.sort_by(|a, b| {
+            a.completed_ms
+                .partial_cmp(&b.completed_ms)
+                .expect("completion times are finite")
+                .then(a.ticket.cmp(&b.ticket))
+        });
+        drained
+    }
+
+    /// Removes and returns the result for `ticket`, if queued.
+    pub(crate) fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
+        let index = self.0.iter().position(|r| r.ticket == ticket)?;
+        Some(self.0.swap_remove(index))
+    }
+}
+
 /// Shared bookkeeping of the simulated backends: ticket allocation, the
 /// completion queue, and the in-flight gauge.
 #[derive(Debug, Clone, Default)]
 struct BackendState {
     next_ticket: u64,
-    pending: Vec<ForwardResult>,
+    pending: CompletionQueue,
     /// `(completed_ms, requests)` of batches still in flight on the modeled
     /// timeline, pruned on every submit.
     in_flight: Vec<(f64, usize)>,
@@ -369,7 +402,7 @@ impl BackendState {
             }
             let ticket = Ticket(self.next_ticket);
             self.next_ticket += 1;
-            self.pending.push(ForwardResult {
+            self.pending.0.push(ForwardResult {
                 ticket,
                 kind: request.kind,
                 logits,
@@ -381,22 +414,6 @@ impl BackendState {
             tickets.push(ticket);
         }
         tickets
-    }
-
-    fn poll(&mut self) -> Vec<ForwardResult> {
-        let mut drained = std::mem::take(&mut self.pending);
-        drained.sort_by(|a, b| {
-            a.completed_ms
-                .partial_cmp(&b.completed_ms)
-                .expect("completion times are finite")
-                .then(a.ticket.cmp(&b.ticket))
-        });
-        drained
-    }
-
-    fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        let index = self.pending.iter().position(|r| r.ticket == ticket)?;
-        Some(self.pending.swap_remove(index))
     }
 }
 
@@ -581,11 +598,11 @@ impl<M: AsrDecoderModel> AsrBackend for SyncBackendAdapter<M> {
     }
 
     fn poll(&mut self) -> Vec<ForwardResult> {
-        self.state.poll()
+        self.state.pending.poll()
     }
 
     fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        self.state.complete(ticket)
+        self.state.pending.complete(ticket)
     }
 
     fn counters(&self) -> BackendCounters {
@@ -763,11 +780,11 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
     }
 
     fn poll(&mut self) -> Vec<ForwardResult> {
-        self.state.poll()
+        self.state.pending.poll()
     }
 
     fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        self.state.complete(ticket)
+        self.state.pending.complete(ticket)
     }
 
     fn counters(&self) -> BackendCounters {

@@ -38,7 +38,7 @@ pub struct Candidate {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TokenLogits {
-    candidates: Vec<Candidate>,
+    pub(crate) candidates: Vec<Candidate>,
 }
 
 impl TokenLogits {

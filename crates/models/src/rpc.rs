@@ -1,39 +1,41 @@
 //! A process-boundary [`AsrBackend`]: a worker thread owning the device,
-//! driven over the serialized wire protocol of [`crate::wire`].
+//! driven over the binary wire protocol of [`crate::wire`].
 //!
-//! [`RpcBackend`] proves PR 5's ticketed `submit/poll/complete` boundary is
-//! real: the client half holds *no* model — every trait method encodes one
-//! [`WireCall`], sends it down an `mpsc` channel as JSON text, and blocks on
-//! the matching [`WireReply`].  The worker half owns an
-//! [`InFlightSimBackend`] and answers in lock step, so a scheduler driven
-//! through the wire sees the exact timing, tickets, and counters an
-//! in-process backend would produce — transcripts and latency stats stay
-//! byte-identical, which is what makes the backend a drop-in `--rpc` choice
-//! in the bench bins.
+//! [`RpcBackend`] proves the ticketed `submit/poll/complete` boundary is
+//! real: the client half holds *no* model.  Each submit encodes one
+//! [`WireCall::Submit`] frame, sends it down an `mpsc` channel as bytes,
+//! and blocks on the worker's [`WireReply::Submitted`].  The worker owns an
+//! [`InFlightSimBackend`], which scores a batch at submit, so that one
+//! reply carries the tickets, every completed result, the device backlog
+//! and the lifetime counters.  The client keeps them in a mirror and serves
+//! `poll`, `complete`, `counters` and `device_free_ms` from it without a
+//! round trip: one round trip per verification wave.  A scheduler driven
+//! through the wire sees the exact timing, tickets, result order and
+//! counters an in-process backend would produce, so transcripts and latency
+//! stats stay byte-identical and the backend is a drop-in `--rpc` choice in
+//! the bench bins.
 //!
-//! The protocol is deliberately synchronous per call (one call, one reply).
-//! The *pipelining* lives above the boundary: the scheduler submits waves
-//! ahead and completes behind, and the worker's device timeline serializes
-//! them exactly like the in-process simulation.  A real GPU-RPC deployment
-//! would swap the channel pair for a socket and let `poll` return early
-//! completions; nothing in the trait contract changes.
+//! The client checks that every ticket of a submit came back in its reply.
+//! A worker that answers asynchronously (a real GPU-RPC deployment behind a
+//! socket, say) breaks that assumption loudly instead of losing results;
+//! such a worker needs a completion read in `poll`, but nothing in the
+//! trait contract changes.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::thread::JoinHandle;
 
 use crate::backend::{
-    AsrBackend, BackendBatch, BackendCounters, DeviceEvent, ForwardResult, Ticket,
+    AsrBackend, BackendBatch, BackendCounters, CompletionQueue, DeviceEvent, ForwardResult, Ticket,
 };
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
 use crate::wire::{
-    decode_batch, decode_call, decode_reply, encode_batch, encode_call, encode_reply, WireCall,
-    WireReply,
+    decode_call, decode_reply, encode_call, encode_reply, Submitted, WireCall, WireReply,
 };
 use crate::InFlightSimBackend;
 
 /// The client half of the process-boundary backend: implements
-/// [`AsrBackend`] by serializing every call to a worker thread that owns an
+/// [`AsrBackend`] over the binary wire to a worker thread that owns an
 /// [`InFlightSimBackend`].
 ///
 /// # Example
@@ -62,14 +64,16 @@ use crate::InFlightSimBackend;
 /// ```
 #[derive(Debug)]
 pub struct RpcBackend {
-    calls: Sender<String>,
-    replies: Receiver<String>,
+    calls: Sender<Vec<u8>>,
+    replies: Receiver<Vec<u8>>,
     profile: ModelProfile,
     dispatch_overhead_ms: f64,
-    /// The worker's device backlog as of the last submit reply, mirrored
-    /// client-side so the wave planner sees the cross-tick carry without a
-    /// round trip.
+    /// The worker's device backlog as of the last submit reply.
     device_free_ms: f64,
+    /// The worker's lifetime counters as of the last submit reply.
+    counters: BackendCounters,
+    /// Results the worker returned and the caller has not drained yet.
+    completed: CompletionQueue,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -93,8 +97,9 @@ impl RpcBackend {
         let backend =
             InFlightSimBackend::new(model).with_dispatch_overhead_ms(dispatch_overhead_ms);
         let profile = backend.profile().clone();
-        let (calls, worker_calls) = std::sync::mpsc::channel::<String>();
-        let (worker_replies, replies) = std::sync::mpsc::channel::<String>();
+        let counters = backend.counters();
+        let (calls, worker_calls) = std::sync::mpsc::channel();
+        let (worker_replies, replies) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || worker_loop(backend, worker_calls, worker_replies));
         RpcBackend {
             calls,
@@ -102,6 +107,8 @@ impl RpcBackend {
             profile,
             dispatch_overhead_ms,
             device_free_ms: 0.0,
+            counters,
+            completed: CompletionQueue::default(),
             worker: Some(worker),
         }
     }
@@ -138,11 +145,11 @@ impl RpcBackend {
         self.calls
             .send(encode_call(call))
             .expect("rpc worker accepts calls while the client lives");
-        let wire = self
+        let frame = self
             .replies
             .recv()
             .expect("rpc worker answers every call in lock step");
-        decode_reply(&wire)
+        decode_reply(&frame).expect("rpc worker replies are well-formed frames")
     }
 }
 
@@ -152,35 +159,37 @@ impl AsrBackend for RpcBackend {
     }
 
     fn submit(&mut self, batch: BackendBatch, now_ms: f64) -> Vec<Ticket> {
-        let reply = self.call(&WireCall::Submit(now_ms, encode_batch(&batch)));
-        match reply {
-            WireReply::Submitted(tickets, device_free_ms) => {
-                self.device_free_ms = device_free_ms;
-                tickets.into_iter().map(Ticket::new).collect()
-            }
+        let Submitted {
+            tickets,
+            completed,
+            device_free_ms,
+            counters,
+        } = match self.call(&WireCall::Submit(now_ms, batch)) {
+            WireReply::Submitted(submitted) => submitted,
             other => unreachable!("submit answered with {other:?}"),
-        }
+        };
+        assert!(
+            tickets
+                .iter()
+                .all(|ticket| completed.iter().any(|result| result.ticket == *ticket)),
+            "the rpc worker must return every result of a submit in its reply"
+        );
+        self.device_free_ms = device_free_ms;
+        self.counters = counters;
+        self.completed.extend(completed);
+        tickets
     }
 
     fn poll(&mut self) -> Vec<ForwardResult> {
-        match self.call(&WireCall::Poll) {
-            WireReply::Results(results) => results,
-            other => unreachable!("poll answered with {other:?}"),
-        }
+        self.completed.poll()
     }
 
     fn complete(&mut self, ticket: Ticket) -> Option<ForwardResult> {
-        match self.call(&WireCall::Complete(ticket.value())) {
-            WireReply::Completed(result) => result,
-            other => unreachable!("complete answered with {other:?}"),
-        }
+        self.completed.complete(ticket)
     }
 
     fn counters(&self) -> BackendCounters {
-        match self.call(&WireCall::Counters) {
-            WireReply::Counters(counters) => counters,
-            other => unreachable!("counters answered with {other:?}"),
-        }
+        self.counters
     }
 }
 
@@ -200,21 +209,21 @@ impl Drop for RpcBackend {
 /// The worker loop: decode a call, apply it to the owned backend, answer.
 fn worker_loop<M: AsrDecoderModel>(
     mut backend: InFlightSimBackend<M>,
-    calls: Receiver<String>,
-    replies: Sender<String>,
+    calls: Receiver<Vec<u8>>,
+    replies: Sender<Vec<u8>>,
 ) {
-    while let Ok(wire) = calls.recv() {
-        let reply = match decode_call(&wire) {
-            WireCall::Submit(now_ms, requests) => {
-                let tickets = backend.submit(decode_batch(requests), now_ms);
-                WireReply::Submitted(
-                    tickets.into_iter().map(Ticket::value).collect(),
-                    backend.device_free_ms(),
-                )
+    while let Ok(frame) = calls.recv() {
+        let call = decode_call(&frame).expect("rpc client calls are well-formed frames");
+        let reply = match call {
+            WireCall::Submit(now_ms, batch) => {
+                let tickets = backend.submit(batch, now_ms);
+                WireReply::Submitted(Submitted {
+                    tickets,
+                    completed: backend.poll(),
+                    device_free_ms: backend.device_free_ms(),
+                    counters: backend.counters(),
+                })
             }
-            WireCall::Poll => WireReply::Results(backend.poll()),
-            WireCall::Complete(raw) => WireReply::Completed(backend.complete(Ticket::new(raw))),
-            WireCall::Counters => WireReply::Counters(backend.counters()),
             WireCall::SetTracing(enabled) => {
                 backend.set_device_tracing(enabled);
                 WireReply::TracingSet(enabled)
@@ -253,6 +262,16 @@ mod tests {
         (target, audio)
     }
 
+    /// Asserts the client mirror agrees with the in-process backend on
+    /// everything callers can observe between submits.
+    fn assert_mirrors(remote: &RpcBackend, local: &InFlightSimBackend<SimulatedAsrModel>) {
+        assert_eq!(remote.counters(), local.counters());
+        assert_eq!(
+            remote.device_free_ms().to_bits(),
+            local.device_free_ms().to_bits()
+        );
+    }
+
     #[test]
     fn the_rpc_backend_matches_the_in_process_backend_exactly() {
         let (target, audio) = setup();
@@ -260,22 +279,57 @@ mod tests {
         let mut remote = RpcBackend::spawn_with_overhead(target, 2.0);
         assert_eq!(remote.profile(), local.profile());
         assert!((remote.dispatch_overhead_ms() - 2.0).abs() < 1e-12);
+        assert_mirrors(&remote, &local);
 
-        for (i, context) in audio.iter().enumerate() {
-            let request =
-                ForwardRequest::verify(context.clone(), Vec::new(), vec![Vec::new()], 4 + i);
-            let batch = BackendBatch::of(request);
-            let a = local.submit(batch.clone(), i as f64);
-            let b = remote.submit(batch, i as f64);
-            assert_eq!(a, b);
-            assert!((remote.device_free_ms() - local.device_free_ms()).abs() < 1e-12);
+        // Multi-wave submits (some at equal times, so completions tie and
+        // order by ticket) interleaved with `complete` of current, older,
+        // drained and unknown tickets, and with `poll`.
+        let mut submitted = Vec::new();
+        let mut polled = 0;
+        for step in 0..24usize {
+            let mut batch = BackendBatch::new();
+            for wave in 0..1 + step % 3 {
+                let context = audio[(step + wave) % audio.len()].clone();
+                batch.push(if (step + wave) % 4 == 0 {
+                    ForwardRequest::draft_step(context, Vec::new())
+                } else {
+                    let probes = vec![Vec::new(); 1 + wave];
+                    ForwardRequest::verify(context, Vec::new(), probes, 2 + step % 5)
+                });
+            }
+            let now_ms = (step / 2) as f64 * 7.5;
+            let tickets = remote.submit(batch.clone(), now_ms);
+            assert_eq!(tickets, local.submit(batch, now_ms));
+            assert_mirrors(&remote, &local);
+            submitted.extend(tickets);
+
+            let probe = match step % 4 {
+                0 => Some(submitted[submitted.len() - 1]),
+                1 => Some(submitted[step / 2]),
+                2 => Some(Ticket::new(u64::MAX)),
+                _ => None,
+            };
+            if let Some(ticket) = probe {
+                assert_eq!(remote.complete(ticket), local.complete(ticket));
+                assert_mirrors(&remote, &local);
+            }
+            if step % 5 == 4 {
+                let results = remote.poll();
+                assert_eq!(results, local.poll());
+                assert_mirrors(&remote, &local);
+                polled += results.len();
+            }
         }
-        let local_results = local.poll();
-        let remote_results = remote.poll();
-        assert_eq!(local_results, remote_results);
-        assert!(!remote_results.is_empty());
-        assert!(remote_results.iter().all(|r| r.kind == ForwardKind::Verify));
-        assert_eq!(remote.counters(), local.counters());
+        let results = remote.poll();
+        assert_eq!(results, local.poll());
+        assert_mirrors(&remote, &local);
+        polled += results.len();
+        assert!(polled > 0);
+        assert!(remote.poll().is_empty(), "drained");
+        assert!(results.iter().any(|r| r.kind == ForwardKind::Verify));
+        assert!(results
+            .windows(2)
+            .all(|w| (w[0].completed_ms, w[0].ticket) < (w[1].completed_ms, w[1].ticket)));
     }
 
     #[test]

@@ -1,89 +1,55 @@
-//! The serialized wire format of the process-boundary backend protocol.
+//! The binary wire format of the process-boundary backend protocol.
 //!
 //! [`crate::RpcBackend`] drives a worker that owns the real (simulated)
-//! device through exactly the four [`crate::AsrBackend`] trait methods, each
-//! encoded as one [`WireCall`] and answered by one [`WireReply`].  Both
-//! directions serialize to JSON text — a deliberately boring, inspectable
-//! encoding that proves the trait boundary carries everything a remote
-//! device needs: no shared memory, no function pointers, no `Arc`s crossing
-//! the boundary.
+//! device.  Every call is one [`WireCall`] frame answered by one
+//! [`WireReply`] frame.  There is one call per verification wave: the
+//! worker scores a batch at submit, so its [`WireReply::Submitted`] carries
+//! the tickets together with every completed result, the device backlog and
+//! the lifetime counters.  The client serves `poll`, `complete` and
+//! `counters` from that mirror without another round trip.  Beyond submit
+//! the protocol only carries the trace context ([`WireCall::SetTracing`],
+//! [`WireCall::TakeDeviceEvents`]) and the shutdown handshake.
 //!
-//! [`ForwardRequest`] holds its audio context behind an `Arc` (many requests
-//! of one session share the context without copying); an `Arc` cannot cross
-//! a process boundary, so [`WireRequest`] mirrors the request with the
-//! context inlined by value and the worker re-wraps it on decode.  Results,
-//! tickets, and counters serialize directly.
+//! # Frame layout
 //!
-//! The encoding is lossless by construction (the round-trip tests assert
-//! encode→decode identity for every variant), and because the worker prices
-//! batches with the same [`crate::InFlightSimBackend`] timeline, a scheduler
-//! driven over the wire produces byte-identical transcripts *and* identical
-//! latency stats to one holding the backend in-process.
+//! A frame is a tag byte followed by fixed-layout little-endian fields:
+//!
+//! * lengths and counts of sequences are `u32`, followed by the elements;
+//! * tickets, sequence numbers, utterance ids and `usize` values are `u64`;
+//! * a [`TokenId`] is its raw `u32`;
+//! * every `f64` is its `to_bits` pattern, so `-0.0`, subnormals,
+//!   infinities and NaN payloads round-trip bit for bit;
+//! * a `bool` or a [`ForwardKind`] is one byte (`0` or `1`).
+//!
+//! A [`ForwardRequest`] holds its audio context behind an `Arc` so many
+//! requests of one session share it; an `Arc` cannot cross a process
+//! boundary, so the frame inlines the context by value and the worker
+//! re-wraps it in a fresh `Arc` on decode.
+//!
+//! Decoding is total: a frame that ends early, carries an unknown tag, or
+//! has bytes left over decodes to a [`WireError`], never a panic.  Because
+//! the worker prices batches with the same [`crate::InFlightSimBackend`]
+//! timeline, a scheduler driven over the wire produces byte-identical
+//! transcripts *and* identical latency stats to one holding the backend
+//! in-process.
 
+use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use specasr_audio::UtteranceId;
 use specasr_tokenizer::TokenId;
 
 use crate::backend::{
-    BackendBatch, BackendCounters, DeviceEvent, ForwardKind, ForwardRequest, ForwardResult,
+    BackendBatch, BackendCounters, DeviceEvent, ForwardKind, ForwardRequest, ForwardResult, Ticket,
 };
 use crate::binding::UtteranceTokens;
+use crate::logits::{Candidate, TokenLogits};
 
-/// A [`ForwardRequest`] flattened for the wire: the audio context inlined by
-/// value instead of shared behind an `Arc`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireRequest {
-    /// The audio context, inlined.
-    pub audio: UtteranceTokens,
-    /// The committed generated prefix shared by every probe.
-    pub prefix: Vec<TokenId>,
-    /// Token extensions of `prefix` to score, in order.
-    pub probes: Vec<Vec<TokenId>>,
-    /// Token width the pass is priced at.
-    pub charge_tokens: usize,
-    /// What the request is for.
-    pub kind: ForwardKind,
-}
-
-impl WireRequest {
-    /// Flattens `request` for the wire (clones the audio context out of its
-    /// `Arc`).
-    pub fn from_request(request: &ForwardRequest) -> Self {
-        WireRequest {
-            audio: (*request.audio).clone(),
-            prefix: request.prefix.clone(),
-            probes: request.probes.clone(),
-            charge_tokens: request.charge_tokens,
-            kind: request.kind,
-        }
-    }
-
-    /// Rebuilds the in-process request (re-wrapping the audio context in a
-    /// fresh `Arc`).
-    pub fn into_request(self) -> ForwardRequest {
-        ForwardRequest {
-            audio: Arc::new(self.audio),
-            prefix: self.prefix,
-            probes: self.probes,
-            charge_tokens: self.charge_tokens,
-            kind: self.kind,
-        }
-    }
-}
-
-/// One call from the client half of [`crate::RpcBackend`] to its worker —
-/// the four trait methods plus the shutdown handshake.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One call from the client half of [`crate::RpcBackend`] to its worker.
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireCall {
     /// [`crate::AsrBackend::submit`]: a batch stamped at a wall time.
-    Submit(f64, Vec<WireRequest>),
-    /// [`crate::AsrBackend::poll`].
-    Poll,
-    /// [`crate::AsrBackend::complete`] for the ticket with this raw value.
-    Complete(u64),
-    /// [`crate::AsrBackend::counters`].
-    Counters,
+    Submit(f64, BackendBatch),
     /// Propagates the client's trace context: enables (or disables) the
     /// worker-side device batch log so `+rpc` runs stitch the same device
     /// timeline as in-process runs.
@@ -95,19 +61,29 @@ pub enum WireCall {
     Shutdown,
 }
 
+/// The worker's answer to a [`WireCall::Submit`]: everything the client
+/// needs to serve the rest of the [`crate::AsrBackend`] trait until the
+/// next submit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submitted {
+    /// One ticket per submitted request, in request order.
+    pub tickets: Vec<Ticket>,
+    /// Every result the worker had completed, drained with its own `poll`
+    /// (so in completion order).  Always includes every ticket above.
+    pub completed: Vec<ForwardResult>,
+    /// The worker's device backlog after the submit, mirrored client-side
+    /// so the wave planner sees the same cross-tick carry as an in-process
+    /// backend.
+    pub device_free_ms: f64,
+    /// The worker's cumulative lifetime counters after the submit.
+    pub counters: BackendCounters,
+}
+
 /// The worker's answer to one [`WireCall`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WireReply {
-    /// Tickets of a submitted batch, plus the worker's device backlog
-    /// (`device_free_ms`) after the submit — mirrored client-side so the
-    /// wave planner sees the same cross-tick carry as an in-process backend.
-    Submitted(Vec<u64>, f64),
-    /// Every completed result, in completion order.
-    Results(Vec<ForwardResult>),
-    /// The result of one completed ticket (or `None`).
-    Completed(Option<ForwardResult>),
-    /// Cumulative lifetime counters.
-    Counters(BackendCounters),
+    /// Answers [`WireCall::Submit`].
+    Submitted(Submitted),
     /// Acknowledges [`WireCall::SetTracing`], echoing the new state.
     TracingSet(bool),
     /// The worker's device batch log since the last drain, in submit order.
@@ -116,101 +92,409 @@ pub enum WireReply {
     Bye,
 }
 
+/// Why a frame failed to decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The frame ended before its last field.
+    Truncated,
+    /// A tag or flag byte outside the protocol.
+    UnknownTag(u8),
+    /// The frame decoded completely with this many bytes left over.
+    TrailingBytes(usize),
+}
+
+impl fmt::Display for WireError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WireError::Truncated => write!(f, "wire frame truncated"),
+            WireError::UnknownTag(tag) => write!(f, "unknown wire tag {tag:#04x}"),
+            WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after a wire frame"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+const CALL_SUBMIT: u8 = 0;
+const CALL_SET_TRACING: u8 = 1;
+const CALL_TAKE_DEVICE_EVENTS: u8 = 2;
+const CALL_SHUTDOWN: u8 = 3;
+
+const REPLY_SUBMITTED: u8 = 0;
+const REPLY_TRACING_SET: u8 = 1;
+const REPLY_DEVICE_EVENTS: u8 = 2;
+const REPLY_BYE: u8 = 3;
+
 /// Encodes a call for the wire.
-pub fn encode_call(call: &WireCall) -> String {
-    serde_json::to_string(call).expect("wire calls encode infallibly")
+pub fn encode_call(call: &WireCall) -> Vec<u8> {
+    let mut w = Writer::new();
+    match call {
+        WireCall::Submit(now_ms, batch) => {
+            w.u8(CALL_SUBMIT);
+            w.f64(*now_ms);
+            w.seq(batch.requests(), Writer::request);
+        }
+        WireCall::SetTracing(enabled) => {
+            w.u8(CALL_SET_TRACING);
+            w.bool(*enabled);
+        }
+        WireCall::TakeDeviceEvents => w.u8(CALL_TAKE_DEVICE_EVENTS),
+        WireCall::Shutdown => w.u8(CALL_SHUTDOWN),
+    }
+    w.0
 }
 
 /// Decodes a call off the wire.
-///
-/// # Panics
-///
-/// Panics on malformed input — the protocol is internal and lock-step, so a
-/// decode failure is a bug, not an input error.
-pub fn decode_call(wire: &str) -> WireCall {
-    serde_json::from_str(wire).expect("wire calls decode losslessly")
+pub fn decode_call(frame: &[u8]) -> Result<WireCall, WireError> {
+    let mut r = Reader(frame);
+    let call = match r.u8()? {
+        CALL_SUBMIT => {
+            let now_ms = r.f64()?;
+            let mut batch = BackendBatch::new();
+            for request in r.seq(Reader::request)? {
+                batch.push(request);
+            }
+            WireCall::Submit(now_ms, batch)
+        }
+        CALL_SET_TRACING => WireCall::SetTracing(r.bool()?),
+        CALL_TAKE_DEVICE_EVENTS => WireCall::TakeDeviceEvents,
+        CALL_SHUTDOWN => WireCall::Shutdown,
+        tag => return Err(WireError::UnknownTag(tag)),
+    };
+    r.finish(call)
 }
 
 /// Encodes a reply for the wire.
-pub fn encode_reply(reply: &WireReply) -> String {
-    serde_json::to_string(reply).expect("wire replies encode infallibly")
+pub fn encode_reply(reply: &WireReply) -> Vec<u8> {
+    let mut w = Writer::new();
+    match reply {
+        WireReply::Submitted(submitted) => {
+            w.u8(REPLY_SUBMITTED);
+            w.seq(&submitted.tickets, |w, ticket| w.u64(ticket.value()));
+            w.seq(&submitted.completed, Writer::result);
+            w.f64(submitted.device_free_ms);
+            w.counters(&submitted.counters);
+        }
+        WireReply::TracingSet(enabled) => {
+            w.u8(REPLY_TRACING_SET);
+            w.bool(*enabled);
+        }
+        WireReply::DeviceEvents(events) => {
+            w.u8(REPLY_DEVICE_EVENTS);
+            w.seq(events, Writer::device_event);
+        }
+        WireReply::Bye => w.u8(REPLY_BYE),
+    }
+    w.0
 }
 
 /// Decodes a reply off the wire.
-///
-/// # Panics
-///
-/// Panics on malformed input (see [`decode_call`]).
-pub fn decode_reply(wire: &str) -> WireReply {
-    serde_json::from_str(wire).expect("wire replies decode losslessly")
+pub fn decode_reply(frame: &[u8]) -> Result<WireReply, WireError> {
+    let mut r = Reader(frame);
+    let reply = match r.u8()? {
+        REPLY_SUBMITTED => WireReply::Submitted(Submitted {
+            tickets: r.seq(|r| r.u64().map(Ticket::new))?,
+            completed: r.seq(Reader::result)?,
+            device_free_ms: r.f64()?,
+            counters: r.counters()?,
+        }),
+        REPLY_TRACING_SET => WireReply::TracingSet(r.bool()?),
+        REPLY_DEVICE_EVENTS => WireReply::DeviceEvents(r.seq(Reader::device_event)?),
+        REPLY_BYE => WireReply::Bye,
+        tag => return Err(WireError::UnknownTag(tag)),
+    };
+    r.finish(reply)
 }
 
-/// Flattens a batch for the wire.
-pub fn encode_batch(batch: &BackendBatch) -> Vec<WireRequest> {
-    batch
-        .requests()
-        .iter()
-        .map(WireRequest::from_request)
-        .collect()
-}
+/// Appends little-endian fields to a frame.
+struct Writer(Vec<u8>);
 
-/// Rebuilds a batch from its wire form.
-pub fn decode_batch(requests: Vec<WireRequest>) -> BackendBatch {
-    let mut batch = BackendBatch::new();
-    for request in requests {
-        batch.push(request.into_request());
+impl Writer {
+    /// A submit or submitted frame of a typical wave is a few hundred
+    /// bytes; starting at 1 KiB spares the encoder its reallocations.
+    fn new() -> Self {
+        Writer(Vec::with_capacity(1024))
     }
-    batch
+
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn token(&mut self, token: &TokenId) {
+        self.u32(token.value());
+    }
+
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        let len = u32::try_from(items.len()).expect("wire sequences hold fewer than 2^32 items");
+        self.u32(len);
+        for value in items {
+            item(self, value);
+        }
+    }
+
+    fn kind(&mut self, kind: ForwardKind) {
+        self.bool(kind == ForwardKind::Verify);
+    }
+
+    fn audio(&mut self, audio: &UtteranceTokens) {
+        self.u64(audio.id.value());
+        self.seq(&audio.reference_tokens, Writer::token);
+        self.seq(&audio.token_difficulties, |w, &d| w.f64(d));
+        self.token(&audio.eos);
+        self.token(&audio.bos);
+        self.u32(audio.vocab_size);
+        self.f64(audio.duration_seconds);
+        self.usize(audio.prefill_tokens);
+    }
+
+    fn request(&mut self, request: &ForwardRequest) {
+        self.audio(&request.audio);
+        self.seq(&request.prefix, Writer::token);
+        self.seq(&request.probes, |w, probe| w.seq(probe, Writer::token));
+        self.usize(request.charge_tokens);
+        self.kind(request.kind);
+    }
+
+    fn logits(&mut self, logits: &TokenLogits) {
+        self.seq(&logits.candidates, |w, candidate| {
+            w.token(&candidate.token);
+            w.f64(candidate.probability);
+        });
+    }
+
+    fn result(&mut self, result: &ForwardResult) {
+        self.u64(result.ticket.value());
+        self.kind(result.kind);
+        self.seq(&result.logits, Writer::logits);
+        self.f64(result.submitted_ms);
+        self.f64(result.started_ms);
+        self.f64(result.completed_ms);
+        self.usize(result.batch_requests);
+    }
+
+    fn counters(&mut self, c: &BackendCounters) {
+        for v in [
+            c.batches,
+            c.requests,
+            c.draft_requests,
+            c.verify_requests,
+            c.verify_batches,
+            c.probes_scored,
+            c.peak_in_flight,
+        ] {
+            self.usize(v);
+        }
+        self.f64(c.device_busy_ms);
+        self.f64(c.device_idle_ms);
+    }
+
+    fn device_event(&mut self, event: &DeviceEvent) {
+        self.u64(event.seq);
+        self.f64(event.submitted_ms);
+        self.f64(event.started_ms);
+        self.f64(event.completed_ms);
+        self.u64(event.requests);
+        self.u64(event.charge_tokens);
+        self.bool(event.verify);
+    }
+}
+
+/// A cursor over a frame, reading the fields [`Writer`] appends.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    fn finish<T>(self, value: T) -> Result<T, WireError> {
+        match self.0.len() {
+            0 => Ok(value),
+            n => Err(WireError::TrailingBytes(n)),
+        }
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.take::<1>().map(|[v]| v)
+    }
+
+    fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::UnknownTag(tag)),
+        }
+    }
+
+    fn u32(&mut self) -> Result<u32, WireError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, WireError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn usize(&mut self) -> Result<usize, WireError> {
+        // Frames are only exchanged between the two halves of one process,
+        // so a value written from a `usize` always fits back in one.
+        self.u64().map(|v| v as usize)
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    fn token(&mut self) -> Result<TokenId, WireError> {
+        self.u32().map(TokenId::new)
+    }
+
+    /// Reads a `u32` length, then that many items.  Every item takes at
+    /// least one byte, so a length beyond the bytes left is a truncated
+    /// frame, caught before anything is allocated.
+    fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let len = self.u32()? as usize;
+        if len > self.0.len() {
+            return Err(WireError::Truncated);
+        }
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn kind(&mut self) -> Result<ForwardKind, WireError> {
+        Ok(if self.bool()? {
+            ForwardKind::Verify
+        } else {
+            ForwardKind::DraftStep
+        })
+    }
+
+    fn audio(&mut self) -> Result<UtteranceTokens, WireError> {
+        Ok(UtteranceTokens {
+            id: UtteranceId::new(self.u64()?),
+            reference_tokens: self.seq(Reader::token)?,
+            token_difficulties: self.seq(Reader::f64)?,
+            eos: self.token()?,
+            bos: self.token()?,
+            vocab_size: self.u32()?,
+            duration_seconds: self.f64()?,
+            prefill_tokens: self.usize()?,
+        })
+    }
+
+    fn request(&mut self) -> Result<ForwardRequest, WireError> {
+        Ok(ForwardRequest {
+            audio: Arc::new(self.audio()?),
+            prefix: self.seq(Reader::token)?,
+            probes: self.seq(|r| r.seq(Reader::token))?,
+            charge_tokens: self.usize()?,
+            kind: self.kind()?,
+        })
+    }
+
+    fn logits(&mut self) -> Result<TokenLogits, WireError> {
+        let candidates = self.seq(|r| {
+            Ok(Candidate {
+                token: r.token()?,
+                probability: r.f64()?,
+            })
+        })?;
+        Ok(TokenLogits { candidates })
+    }
+
+    fn result(&mut self) -> Result<ForwardResult, WireError> {
+        Ok(ForwardResult {
+            ticket: Ticket::new(self.u64()?),
+            kind: self.kind()?,
+            logits: self.seq(Reader::logits)?,
+            submitted_ms: self.f64()?,
+            started_ms: self.f64()?,
+            completed_ms: self.f64()?,
+            batch_requests: self.usize()?,
+        })
+    }
+
+    fn counters(&mut self) -> Result<BackendCounters, WireError> {
+        Ok(BackendCounters {
+            batches: self.usize()?,
+            requests: self.usize()?,
+            draft_requests: self.usize()?,
+            verify_requests: self.usize()?,
+            verify_batches: self.usize()?,
+            probes_scored: self.usize()?,
+            peak_in_flight: self.usize()?,
+            device_busy_ms: self.f64()?,
+            device_idle_ms: self.f64()?,
+        })
+    }
+
+    fn device_event(&mut self) -> Result<DeviceEvent, WireError> {
+        Ok(DeviceEvent {
+            seq: self.u64()?,
+            submitted_ms: self.f64()?,
+            started_ms: self.f64()?,
+            completed_ms: self.f64()?,
+            requests: self.u64()?,
+            charge_tokens: self.u64()?,
+            verify: self.bool()?,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Ticket;
     use crate::binding::TokenizerBinding;
-    use crate::logits::TokenLogits;
     use specasr_audio::{Corpus, Split};
 
-    fn audio() -> UtteranceTokens {
+    fn audio() -> Arc<UtteranceTokens> {
         let corpus = Corpus::librispeech_like(5, 2);
         let binding = TokenizerBinding::for_corpus(&corpus);
-        binding.bind(&corpus.split(Split::TestClean)[0])
+        Arc::new(binding.bind(&corpus.split(Split::TestClean)[0]))
     }
 
-    fn call_round_trip(call: WireCall) {
-        assert_eq!(decode_call(&encode_call(&call)), call);
-    }
-
-    fn reply_round_trip(reply: WireReply) {
-        assert_eq!(decode_reply(&encode_reply(&reply)), reply);
-    }
-
-    #[test]
-    fn every_call_variant_round_trips_identically() {
-        let draft = ForwardRequest::draft_step(Arc::new(audio()), vec![TokenId::new(3)]);
-        let verify = ForwardRequest::verify(
-            Arc::new(audio()),
+    fn batch() -> BackendBatch {
+        let mut batch = BackendBatch::new();
+        batch.push(ForwardRequest::draft_step(audio(), vec![TokenId::new(3)]));
+        batch.push(ForwardRequest::verify(
+            audio(),
             vec![TokenId::new(1), TokenId::new(4)],
             vec![Vec::new(), vec![TokenId::new(9)]],
             6,
-        );
-        let mut batch = BackendBatch::new();
-        batch.push(draft);
-        batch.push(verify);
-        call_round_trip(WireCall::Submit(1234.5, encode_batch(&batch)));
-        call_round_trip(WireCall::Poll);
-        call_round_trip(WireCall::Complete(42));
-        call_round_trip(WireCall::Counters);
-        call_round_trip(WireCall::SetTracing(true));
-        call_round_trip(WireCall::SetTracing(false));
-        call_round_trip(WireCall::TakeDeviceEvents);
-        call_round_trip(WireCall::Shutdown);
+        ));
+        batch
     }
 
-    #[test]
-    fn every_reply_variant_round_trips_identically() {
-        let result = ForwardResult {
-            ticket: Ticket::new(7),
+    fn result(ticket: u64) -> ForwardResult {
+        ForwardResult {
+            ticket: Ticket::new(ticket),
             kind: ForwardKind::Verify,
             logits: vec![TokenLogits::from_candidates(vec![
                 (TokenId::new(2), 0.625),
@@ -220,8 +504,11 @@ mod tests {
             started_ms: 12.5,
             completed_ms: 31.25,
             batch_requests: 3,
-        };
-        let counters = BackendCounters {
+        }
+    }
+
+    fn counters() -> BackendCounters {
+        BackendCounters {
             batches: 4,
             requests: 9,
             draft_requests: 2,
@@ -231,40 +518,233 @@ mod tests {
             peak_in_flight: 5,
             device_busy_ms: 123.5,
             device_idle_ms: 4.25,
-        };
-        reply_round_trip(WireReply::Submitted(vec![0, 1, 2], 99.5));
-        reply_round_trip(WireReply::Results(vec![result.clone(), result.clone()]));
-        reply_round_trip(WireReply::Completed(Some(result)));
-        reply_round_trip(WireReply::Completed(None));
-        reply_round_trip(WireReply::Counters(counters));
-        reply_round_trip(WireReply::TracingSet(true));
-        reply_round_trip(WireReply::DeviceEvents(vec![DeviceEvent {
-            seq: 2,
+        }
+    }
+
+    fn device_event(seq: u64) -> DeviceEvent {
+        DeviceEvent {
+            seq,
             submitted_ms: 10.0,
             started_ms: 12.5,
             completed_ms: 31.25,
             requests: 3,
             charge_tokens: 11,
             verify: true,
-        }]));
-        reply_round_trip(WireReply::DeviceEvents(Vec::new()));
-        reply_round_trip(WireReply::Bye);
+        }
+    }
+
+    fn calls() -> Vec<WireCall> {
+        vec![
+            WireCall::Submit(1234.5, batch()),
+            WireCall::Submit(0.0, BackendBatch::new()),
+            WireCall::SetTracing(true),
+            WireCall::SetTracing(false),
+            WireCall::TakeDeviceEvents,
+            WireCall::Shutdown,
+        ]
+    }
+
+    fn replies() -> Vec<WireReply> {
+        vec![
+            WireReply::Submitted(Submitted {
+                tickets: vec![Ticket::new(0), Ticket::new(1)],
+                completed: vec![result(0), result(1)],
+                device_free_ms: 99.5,
+                counters: counters(),
+            }),
+            WireReply::Submitted(Submitted {
+                tickets: Vec::new(),
+                completed: Vec::new(),
+                device_free_ms: 0.0,
+                counters: BackendCounters::default(),
+            }),
+            WireReply::TracingSet(true),
+            WireReply::TracingSet(false),
+            WireReply::DeviceEvents(vec![device_event(2), device_event(3)]),
+            WireReply::DeviceEvents(Vec::new()),
+            WireReply::Bye,
+        ]
+    }
+
+    #[test]
+    fn every_call_variant_round_trips_identically() {
+        for call in calls() {
+            assert_eq!(decode_call(&encode_call(&call)), Ok(call));
+        }
+    }
+
+    #[test]
+    fn every_reply_variant_round_trips_identically() {
+        for reply in replies() {
+            assert_eq!(decode_reply(&encode_reply(&reply)), Ok(reply));
+        }
     }
 
     #[test]
     fn wire_requests_rebuild_the_exact_in_process_request() {
-        let shared = Arc::new(audio());
-        let request = ForwardRequest::verify(
-            shared,
-            vec![TokenId::new(8)],
-            vec![vec![TokenId::new(1)], Vec::new()],
-            4,
-        );
-        let rebuilt = WireRequest::from_request(&request).into_request();
-        assert_eq!(rebuilt, request);
+        let sent = batch();
+        let Ok(WireCall::Submit(_, received)) =
+            decode_call(&encode_call(&WireCall::Submit(0.0, sent.clone())))
+        else {
+            panic!("a submit frame decodes to a submit");
+        };
+        assert_eq!(received, sent);
+        for (a, b) in received.requests().iter().zip(sent.requests()) {
+            assert_eq!(a.audio.prefill_tokens(), b.audio.prefill_tokens());
+            assert!(
+                !Arc::ptr_eq(&a.audio, &b.audio),
+                "the context crossed by value"
+            );
+        }
+    }
 
-        let encoded = serde_json::to_string(&WireRequest::from_request(&request)).expect("encodes");
-        let decoded: WireRequest = serde_json::from_str(&encoded).expect("round trip");
-        assert_eq!(decoded.into_request(), request);
+    #[test]
+    fn u64_max_tickets_and_sequence_numbers_survive_the_wire() {
+        // An f64-backed number representation rounds these above 2^53.
+        for raw in [u64::MAX, u64::MAX - 1, (1 << 53) + 1] {
+            let reply = WireReply::Submitted(Submitted {
+                tickets: vec![Ticket::new(raw)],
+                completed: vec![result(raw)],
+                device_free_ms: 1.0,
+                counters: counters(),
+            });
+            assert_eq!(decode_reply(&encode_reply(&reply)), Ok(reply));
+            let events = WireReply::DeviceEvents(vec![device_event(raw)]);
+            assert_eq!(decode_reply(&encode_reply(&events)), Ok(events));
+        }
+    }
+
+    #[test]
+    fn every_f64_field_round_trips_bit_for_bit() {
+        let edges = [
+            -0.0,
+            f64::from_bits(1),                      // smallest subnormal
+            f64::MIN_POSITIVE / 3.0,                // another subnormal
+            -f64::from_bits(0x000f_ffff_ffff_ffff), // largest negative subnormal
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_dead_beef), // quiet NaN with a payload
+            f64::from_bits(0xfff0_0000_0000_0001), // negative signalling NaN
+        ];
+        for v in edges {
+            let mut batch = BackendBatch::new();
+            let mut audio = (*audio()).clone();
+            audio.duration_seconds = v;
+            audio.token_difficulties.iter_mut().for_each(|d| *d = v);
+            batch.push(ForwardRequest::draft_step(Arc::new(audio), Vec::new()));
+            let call = encode_call(&WireCall::Submit(v, batch));
+            let Ok(WireCall::Submit(now_ms, decoded)) = decode_call(&call) else {
+                panic!("a submit frame decodes to a submit");
+            };
+            let audio = &decoded.requests()[0].audio;
+            let mut bits = vec![now_ms.to_bits(), audio.duration_seconds().to_bits()];
+            bits.extend(audio.token_difficulties().iter().map(|d| d.to_bits()));
+            assert_eq!(
+                encode_call(&WireCall::Submit(now_ms, decoded.clone())),
+                call
+            );
+
+            let mut result = result(7);
+            result.logits[0].candidates[1].probability = v;
+            (result.submitted_ms, result.started_ms, result.completed_ms) = (v, v, v);
+            let mut counters = counters();
+            (counters.device_busy_ms, counters.device_idle_ms) = (v, v);
+            let reply = encode_reply(&WireReply::Submitted(Submitted {
+                tickets: vec![result.ticket],
+                completed: vec![result],
+                device_free_ms: v,
+                counters,
+            }));
+            let Ok(WireReply::Submitted(decoded)) = decode_reply(&reply) else {
+                panic!("a submitted frame decodes to a submitted reply");
+            };
+            let result = &decoded.completed[0];
+            bits.extend([
+                result.logits[0].candidates[1].probability.to_bits(),
+                result.submitted_ms.to_bits(),
+                result.started_ms.to_bits(),
+                result.completed_ms.to_bits(),
+                decoded.device_free_ms.to_bits(),
+                decoded.counters.device_busy_ms.to_bits(),
+                decoded.counters.device_idle_ms.to_bits(),
+            ]);
+            assert_eq!(encode_reply(&WireReply::Submitted(decoded)), reply);
+
+            let event = DeviceEvent {
+                submitted_ms: v,
+                started_ms: v,
+                completed_ms: v,
+                ..device_event(0)
+            };
+            let Ok(WireReply::DeviceEvents(events)) =
+                decode_reply(&encode_reply(&WireReply::DeviceEvents(vec![event])))
+            else {
+                panic!("a device-events frame decodes to device events");
+            };
+            bits.extend([
+                events[0].submitted_ms.to_bits(),
+                events[0].started_ms.to_bits(),
+                events[0].completed_ms.to_bits(),
+            ]);
+            assert!(
+                bits.iter().all(|&b| b == v.to_bits()),
+                "{v:?} ({:#018x}) lost bits on the wire: {bits:x?}",
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_valid_frame_is_truncated() {
+        let calls = calls()
+            .iter()
+            .map(|call| (encode_call(call), true))
+            .collect::<Vec<_>>();
+        let replies = replies()
+            .iter()
+            .map(|reply| (encode_reply(reply), false))
+            .collect();
+        let frames = [calls, replies].concat();
+        for (frame, is_call) in frames {
+            for len in 0..frame.len() {
+                let prefix = &frame[..len];
+                let err = if is_call {
+                    decode_call(prefix).err()
+                } else {
+                    decode_reply(prefix).err()
+                };
+                assert_eq!(
+                    err,
+                    Some(WireError::Truncated),
+                    "prefix {len}/{}",
+                    frame.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_tags_and_trailing_bytes_are_typed_errors() {
+        assert_eq!(decode_call(&[0xee]), Err(WireError::UnknownTag(0xee)));
+        assert_eq!(decode_reply(&[0xee]), Err(WireError::UnknownTag(0xee)));
+        assert_eq!(
+            decode_call(&[CALL_SET_TRACING, 2]),
+            Err(WireError::UnknownTag(2)),
+            "flags are 0 or 1"
+        );
+        let mut frame = encode_call(&WireCall::Shutdown);
+        frame.extend([0, 0, 0]);
+        assert_eq!(decode_call(&frame), Err(WireError::TrailingBytes(3)));
+        let mut frame = encode_reply(&WireReply::Bye);
+        frame.push(0);
+        assert_eq!(decode_reply(&frame), Err(WireError::TrailingBytes(1)));
+        // A length beyond the bytes left is caught before allocating.
+        let mut frame = vec![REPLY_DEVICE_EVENTS];
+        frame.extend(u32::MAX.to_le_bytes());
+        assert_eq!(decode_reply(&frame), Err(WireError::Truncated));
+        assert_eq!(
+            WireError::UnknownTag(0xee).to_string(),
+            "unknown wire tag 0xee"
+        );
     }
 }
