@@ -878,11 +878,7 @@ where
                 self.target.dispatch_overhead_ms(),
             )
         };
-        // Each ticket's (session, wave), sorted by ticket below so
-        // completions find their owner by binary search; and, for the
-        // recorder, each wave's tickets in submission order.
-        let mut ticket_owner: Vec<(Ticket, (usize, usize))> = Vec::with_capacity(self.active.len());
-        let mut wave_tickets: Vec<Vec<u64>> = Vec::new();
+        let mut ticket_owner = Vec::with_capacity(self.active.len());
         let mut wave_of = vec![0usize; sessions];
         for (wave_index, (wave, offset)) in
             plan.waves.iter().zip(&plan.submit_offsets_ms).enumerate()
@@ -927,19 +923,17 @@ where
                     ts_ms,
                     tick,
                     wave: wave_index as u64,
-                    tickets: ticket_ids.clone(),
+                    tickets: ticket_ids,
                     requests,
                 });
-                wave_tickets.push(ticket_ids);
             }
             ticket_owner.extend(
                 tickets
                     .into_iter()
                     .zip(wave.iter().copied())
-                    .map(|(ticket, owner)| (ticket, (owner, wave_index))),
+                    .map(|(ticket, owner)| (ticket, owner, wave_index)),
             );
         }
-        ticket_owner.sort_unstable_by_key(|&(ticket, _)| ticket);
         let mut results: Vec<Option<ForwardResult>> = self.active.iter().map(|_| None).collect();
         let mut tick_end = tick_start;
         let mut wave_completed = vec![tick_start; plan.waves.len()];
@@ -952,10 +946,10 @@ where
         };
         for result in self.target.poll() {
             tick_end = tick_end.max(result.completed_ms);
-            let index = ticket_owner
-                .binary_search_by_key(&result.ticket, |&(ticket, _)| ticket)
+            let &(_, owner, wave_index) = ticket_owner
+                .iter()
+                .find(|(ticket, _, _)| *ticket == result.ticket)
                 .expect("every completion answers a ticket submitted this tick");
-            let (owner, wave_index) = ticket_owner[index].1;
             wave_completed[wave_index] = wave_completed[wave_index].max(result.completed_ms);
             if let Some(span) = wave_spans.get_mut(wave_index) {
                 *span = Some((result.submitted_ms, result.started_ms, result.completed_ms));
@@ -963,15 +957,19 @@ where
             results[owner] = Some(result);
         }
         if self.tracer.is_enabled() {
-            for (wave_index, (span, ticket_ids)) in
-                wave_spans.into_iter().zip(wave_tickets).enumerate()
-            {
+            for (wave_index, span) in wave_spans.into_iter().enumerate() {
                 let Some((submitted_ms, started_ms, completed_ms)) = span else {
                     continue;
                 };
-                let requests: Vec<u64> = plan.waves[wave_index]
+                let ticket_ids: Vec<u64> = ticket_owner
                     .iter()
-                    .map(|&owner| self.active[owner].id.value())
+                    .filter(|&&(_, _, wave)| wave == wave_index)
+                    .map(|&(ticket, _, _)| ticket.value())
+                    .collect();
+                let requests: Vec<u64> = ticket_owner
+                    .iter()
+                    .filter(|&&(_, _, wave)| wave == wave_index)
+                    .map(|&(_, owner, _)| self.active[owner].id.value())
                     .collect();
                 self.tracer.record_with(|| TraceEvent::VerifyWaveCompleted {
                     tick,
