@@ -646,7 +646,7 @@ pub(crate) mod tests {
         for policy in all_policies() {
             let mut a = session_for(policy, &audio[0], DrafterKind::ModelDraft);
             let mut b = session_for(policy, &audio[0], DrafterKind::ModelDraft);
-            let via_backend = a.draft_round_via(&mut backend, 0.0);
+            let via_backend = a.draft_round_via(&mut backend, draft.profile(), 0.0);
             let via_drafter = b.draft_round(&ModelDrafter::new(&draft));
             assert_eq!(
                 via_backend,

@@ -95,6 +95,6 @@ pub use outcome::DecodeOutcome;
 pub use pipeline::{AsrPipeline, PipelineOutput};
 pub use policy::{FeatureRow, Policy, Rating};
 pub use recycle::RecycleBuffer;
-pub use session::{DecodeSession, DraftedRound, KvDemand, ProbeTableModel, PRIVATE_BLOCK_SIZE};
+pub use session::{DecodeSession, DraftedRound, KvDemand, PRIVATE_BLOCK_SIZE};
 pub use stats::{DecodeStats, RoundRecord};
 pub use verify::{verify_sequence, verify_tree, SequenceVerification, TreeVerification};

@@ -84,13 +84,9 @@ impl Policy {
             &mut pool,
         )
         .expect("an unbounded pool always admits");
-        let drafter = ModelDrafter::new(draft);
-        while !session.is_finished() {
-            let drafted = session.draft_round(&drafter);
-            session
-                .verify_round(&mut pool, target, drafted)
-                .expect("an unbounded pool never exhausts");
-        }
+        session
+            .decode_to_end(&mut pool, &ModelDrafter::new(draft), target)
+            .expect("an unbounded pool never exhausts");
         session.release_kv(&mut pool);
         session.into_outcome()
     }

@@ -10,11 +10,14 @@
 //!    [`crate::ModelDrafter`], or a draft-free source (CTC collapse,
 //!    token-map walk); [`DecodeSession::draft_round_via`] drafts through an
 //!    [`AsrBackend`] instead.
-//! 2. [`DecodeSession::verify_round`] — the target verifies the drafted
-//!    material, the accepted prefix plus correction token are committed, and
-//!    the KV tables, statistics, and the recycle buffer are updated.  The
-//!    target is any [`AsrDecoderModel`]; a backend completion is wrapped in a
-//!    [`ProbeTableModel`].
+//! 2. [`DecodeSession::verify_round`] — the round's [`ProbeTrie`]
+//!    ([`DraftedRound::probes`]) has been scored in one target pass, the
+//!    acceptance walk reads those distributions by trie node, the accepted
+//!    prefix plus correction token are committed, and the KV tables,
+//!    statistics, and the recycle buffer are updated.  A serving scheduler
+//!    passes the logits of its backend completion; a blocking decode
+//!    ([`DecodeSession::decode_to_end`]) scores the trie against the target
+//!    model with [`ProbeTrie::score`], the routine the backends run.
 //!
 //! Every session allocates its KV blocks from a caller-owned [`KvPool`]:
 //! the serving scheduler's shared, bounded pool, or the unbounded pool a
@@ -29,12 +32,11 @@
 //! must process, which is what a continuous-batching scheduler needs to cost
 //! a grouped verification step before running it.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use specasr_models::{
-    AsrBackend, AsrDecoderModel, BackendModelBridge, DecodeClock, ForwardRequest, ForwardResult,
-    ModelProfile, TokenLogits, UtteranceTokens,
+    AsrBackend, AsrDecoderModel, BackendModelBridge, DecodeClock, ForwardRequest, ModelProfile,
+    ProbeTrie, TokenLogits, UtteranceTokens,
 };
 use specasr_runtime::{BlockTable, KvPool, PoolError, TokenTree};
 use specasr_tokenizer::TokenId;
@@ -45,20 +47,16 @@ use crate::policy::Policy;
 use crate::recycle::RecycleBuffer;
 use crate::round::commit_round;
 use crate::stats::{DecodeStats, RoundRecord};
-use crate::verify::{verify_sequence, verify_tree};
+use crate::verify::{accept_path, accept_tree, chain_path, TreeProbes};
 
 /// The material one draft phase produced, waiting to be verified.
 ///
-/// Opaque by design: schedulers only need the verification width; the
-/// policy-specific payload goes straight back into
-/// [`DecodeSession::verify_round`].
+/// Opaque by design: schedulers only need the verification width and the
+/// probe trie to score; the policy-specific payload goes straight back
+/// into [`DecodeSession::verify_round`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DraftedRound {
     pub(crate) plan: RoundPlan,
-    /// Committed transcript length the round was drafted after (set by
-    /// [`DecodeSession::draft_round`]): the base the probe extensions of
-    /// [`ProbeTableModel`] are relative to.
-    committed_len: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -109,10 +107,7 @@ impl DraftedRound {
     }
 
     pub(crate) fn planned(plan: RoundPlan) -> Self {
-        DraftedRound {
-            plan,
-            committed_len: 0,
-        }
+        DraftedRound { plan }
     }
 
     /// Number of tokens the target model will process when verifying this
@@ -139,49 +134,26 @@ impl DraftedRound {
         }
     }
 
-    /// The probe extensions one verification forward pass over this round
-    /// must score (relative to the committed prefix): the empty probe (the
-    /// correction/bonus position) plus every draft position — each prefix of
-    /// a drafted sequence, or each root-to-node path of a drafted token tree
-    /// (including the sparse-tree trunk, whose per-position target outputs
-    /// the recycle-buffer update reads off the same pass).
+    /// The probe trie one verification forward pass over this round must
+    /// score after the committed prefix: the root (the correction/bonus
+    /// position) plus every draft position — the chain of a drafted
+    /// sequence, or one node per distinct root-to-node path of a drafted
+    /// token tree (including the sparse-tree trunk, whose per-position
+    /// target outputs the recycle-buffer update reads off the same pass).
     ///
-    /// This is the probe list [`DecodeSession::verify_request`] submits and
-    /// [`ProbeTableModel::new`] re-derives to interpret the returned logits,
-    /// so the two always agree.
-    pub fn probe_extensions(&self) -> Vec<Vec<TokenId>> {
-        let mut probes: Vec<Vec<TokenId>> = vec![Vec::new()];
+    /// [`DecodeSession::verify_request`] submits this trie, and
+    /// [`DecodeSession::verify_round`] reads its scored distributions back
+    /// by node index, so the two always agree.
+    pub fn probes(&self) -> ProbeTrie {
         match &self.plan {
-            RoundPlan::Autoregressive => {}
+            RoundPlan::Autoregressive => ProbeTrie::new(),
             RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
-                for end in 1..=tokens.len() {
-                    probes.push(tokens[..end].to_vec());
-                }
+                ProbeTrie::chain(tokens)
             }
             RoundPlan::Tree {
                 tree, trunk_tokens, ..
-            } => {
-                // Distinct branches can in principle spell identical token
-                // paths; dedup keeps the probe list minimal (insertion order
-                // stays deterministic — the set only filters).
-                let mut seen: HashSet<Vec<TokenId>> = HashSet::new();
-                seen.insert(Vec::new());
-                let mut push_unique = |probe: Vec<TokenId>, probes: &mut Vec<Vec<TokenId>>| {
-                    if seen.insert(probe.clone()) {
-                        probes.push(probe);
-                    }
-                };
-                for id in tree.node_ids() {
-                    push_unique(tree.path_tokens(id), &mut probes);
-                }
-                if let Some(trunk) = trunk_tokens {
-                    for end in 1..=trunk.len() {
-                        push_unique(trunk[..end].to_vec(), &mut probes);
-                    }
-                }
-            }
+            } => TreeProbes::build(tree, trunk_tokens.as_deref().unwrap_or_default()).trie,
         }
-        probes
     }
 
     /// KV positions this round appends to the (draft, target) caches before
@@ -246,7 +218,12 @@ pub struct KvDemand {
 /// let drafter = ModelDrafter::new(&draft);
 /// while !session.is_finished() {
 ///     let drafted = session.draft_round(&drafter);
-///     session.verify_round(&mut pool, &target, drafted).expect("the pool has room");
+///     // One target pass over the round's probe trie ...
+///     let scored = drafted.probes().score(&target, session.audio(), session.tokens());
+///     // ... and the acceptance walk reads it back by node.
+///     session
+///         .verify_round(&mut pool, target.profile(), drafted, &scored)
+///         .expect("the pool has room");
 /// }
 /// session.release_kv(&mut pool);
 /// let outcome = session.into_outcome();
@@ -423,15 +400,13 @@ impl DecodeSession {
             self.drafter,
             "a session must be drafted by the drafter kind it was built for"
         );
-        let mut drafted = drafter.propose(DraftRequest {
+        drafter.propose(DraftRequest {
             audio: &self.audio,
             committed: &self.tokens,
             policy: &self.policy,
             recycle: &self.recycle,
             clock: &mut self.clock,
-        });
-        drafted.committed_len = self.tokens.len();
-        drafted
+        })
     }
 
     /// Runs the draft phase of the next round against an [`AsrBackend`]:
@@ -441,57 +416,101 @@ impl DecodeSession {
     /// [`DecodeSession::draft_round`] over a [`ModelDrafter`] of the
     /// model the backend fronts — draft steps are inherently sequential
     /// within a session (each depends on the previous token), so the loop
-    /// structure stays and only the model boundary changes.
+    /// structure stays and only the model boundary changes.  `profile` is
+    /// the profile of the draft model the backend fronts (draft latency is
+    /// charged against it).
     ///
     /// # Panics
     ///
     /// Panics if the session is already finished or drafts from a draft-free
     /// source.
-    pub fn draft_round_via<B>(&mut self, backend: &mut B, now_ms: f64) -> DraftedRound
+    pub fn draft_round_via<B>(
+        &mut self,
+        backend: &mut B,
+        profile: &ModelProfile,
+        now_ms: f64,
+    ) -> DraftedRound
     where
         B: AsrBackend + Send,
     {
         // Seed the bridge with the session's shared audio context so the
         // draft loop's requests reference it without ever copying it.
-        let bridge = BackendModelBridge::with_audio(backend, now_ms, Arc::clone(&self.audio));
+        let audio = Arc::clone(&self.audio);
+        let bridge = BackendModelBridge::with_audio(backend, profile, now_ms, audio);
         self.draft_round(&ModelDrafter::new(&bridge))
     }
 
     /// Builds the verification [`ForwardRequest`] for `drafted`: one target
-    /// forward pass scoring every probe of
-    /// [`DraftedRound::probe_extensions`] after the committed prefix, priced
-    /// at [`DraftedRound::verify_tokens`] parallel tokens.
+    /// forward pass scoring every node of [`DraftedRound::probes`] after the
+    /// committed prefix, priced at [`DraftedRound::verify_tokens`] parallel
+    /// tokens.
     ///
     /// A scheduler collects these across all in-flight sessions into one
     /// cross-session [`specasr_models::BackendBatch`], submits it, and
-    /// commits each session from its completion by passing a
-    /// [`ProbeTableModel`] to [`DecodeSession::verify_round`].
+    /// commits each session by passing its completion's logits to
+    /// [`DecodeSession::verify_round`].
     pub fn verify_request(&self, drafted: &DraftedRound) -> ForwardRequest {
         ForwardRequest::verify(
             Arc::clone(&self.audio),
             self.tokens.clone(),
-            drafted.probe_extensions(),
+            drafted.probes(),
             drafted.verify_tokens(),
         )
     }
 
-    /// Verifies and commits one drafted round against `target`, returning
-    /// `true` when the session finished.
+    /// Drafts, scores and verifies rounds until the session finishes — the
+    /// blocking decode loop.  Each round's [`DraftedRound::probes`] is scored
+    /// against `target` with [`ProbeTrie::score`] (the routine the simulated
+    /// backends run) and committed through [`DecodeSession::verify_round`],
+    /// so a blocking decode and a scheduled one share every step.
+    pub fn decode_to_end<D, T>(
+        &mut self,
+        pool: &mut KvPool,
+        drafter: &D,
+        target: &T,
+    ) -> Result<(), PoolError>
+    where
+        D: Drafter + ?Sized,
+        T: AsrDecoderModel + ?Sized,
+    {
+        while !self.finished {
+            let drafted = self.draft_round(drafter);
+            let scored = drafted.probes().score(target, &self.audio, &self.tokens);
+            self.verify_round(pool, target.profile(), drafted, &scored)?;
+        }
+        Ok(())
+    }
+
+    /// Verifies and commits one drafted round from its scored probe trie,
+    /// returning `true` when the session finished.
+    ///
+    /// `scored` holds one distribution per node of
+    /// [`DraftedRound::probes`], in node order, as scored after the
+    /// committed prefix (a backend completion's logits, or
+    /// [`ProbeTrie::score`] against the target); `target` is the target
+    /// model's profile, against which the verification pass is charged.
+    /// The acceptance walk reads the distributions by node index: a sequence
+    /// compares node `i`'s top-1 with draft token `i`, a tree walks each
+    /// leaf's node path, and the sparse-tree trunk's recycle update reads
+    /// the trunk's own nodes.
     ///
     /// KV appends allocate from `pool` (the pool the session was built
     /// over), and an exhausted pool surfaces as [`PoolError::OutOfBlocks`]
     /// *before* any state was mutated — the caller can preempt another
     /// session to free blocks and retry, or release this one (schedulers
     /// re-queue and restore by re-prefilling, which is deterministic).
-    pub fn verify_round<T>(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scored` does not hold one distribution per probe of
+    /// `drafted`.
+    pub fn verify_round(
         &mut self,
         pool: &mut KvPool,
-        target: &T,
+        target: &ModelProfile,
         drafted: DraftedRound,
-    ) -> Result<bool, PoolError>
-    where
-        T: AsrDecoderModel + ?Sized,
-    {
+        scored: &[TokenLogits],
+    ) -> Result<bool, PoolError> {
         // KV bookkeeping first: this round's append widths are fixed by the
         // drafted plan, and verification itself never reads the caches, so
         // appending up front leaves every counter (totals, peaks, discards)
@@ -512,12 +531,21 @@ impl DecodeSession {
             },
             plan => plan,
         };
+        let eos = self.audio.eos();
+        let scored_per_probe = |probes: usize| {
+            assert_eq!(
+                scored.len(),
+                probes,
+                "one scored distribution per verification probe"
+            );
+        };
         match plan {
             // Normalised away above; kept irrefutable for the compiler.
             RoundPlan::ExternalSequence { .. } => unreachable!("normalised to Sequence above"),
             RoundPlan::Autoregressive => {
-                let next = target.greedy_token(&self.audio, &self.tokens);
-                self.clock.charge_target(target.profile().latency(), 1);
+                scored_per_probe(1);
+                let next = accept_path(scored, [], eos).correction;
+                self.clock.charge_target(target.latency(), 1);
                 self.stats.record_round(RoundRecord {
                     predicted: 0,
                     accepted: 0,
@@ -527,7 +555,7 @@ impl DecodeSession {
                     truncated: false,
                 });
                 self.stats.record_correction();
-                if next == self.audio.eos() || self.tokens.len() >= self.cap {
+                if next == eos || self.tokens.len() >= self.cap {
                     self.finished = true;
                 } else {
                     self.tokens.push(next);
@@ -540,32 +568,32 @@ impl DecodeSession {
                 truncated,
             } => {
                 // Verify phase: one target pass over the draft sequence.
-                let verification =
-                    verify_sequence(target, &self.audio, &self.tokens, &draft_tokens);
+                scored_per_probe(draft_tokens.len() + 1);
+                let walk = accept_path(scored, chain_path(&draft_tokens), eos);
                 self.clock
-                    .charge_target(target.profile().latency(), draft_tokens.len().max(1));
+                    .charge_target(target.latency(), draft_tokens.len().max(1));
 
                 // Retain the rejected suffix for the next round (only the
                 // adaptive policy reads it back).
-                self.recycle = if verification.all_accepted {
+                self.recycle = if walk.all_accepted {
                     RecycleBuffer::new()
                 } else {
-                    RecycleBuffer::from_rejected(&draft_tokens, verification.accepted_len())
+                    RecycleBuffer::from_rejected(&draft_tokens, walk.accepted)
                 };
 
                 // Commit, then roll the caches back to the committed length.
                 self.finished = commit_round(
                     &mut self.tokens,
-                    &verification.accepted,
-                    verification.correction,
-                    self.audio.eos(),
+                    &draft_tokens[..walk.accepted],
+                    walk.correction,
+                    eos,
                     self.cap,
                     &mut self.stats,
                 );
                 self.kv_rollback_to_committed(pool);
                 self.stats.record_round(RoundRecord {
                     predicted: draft_tokens.len(),
-                    accepted: verification.accepted_len(),
+                    accepted: walk.accepted,
                     draft_steps: steps,
                     tree_size: draft_tokens.len(),
                     recycled,
@@ -579,26 +607,24 @@ impl DecodeSession {
                 recycled,
             } => {
                 // Verification: one target pass over the whole tree.
-                let verification = verify_tree(target, &self.audio, &self.tokens, &tree);
-                self.clock.charge_target(
-                    target.profile().latency(),
-                    verification.nodes_processed.max(1),
-                );
+                let trunk = trunk_tokens.as_deref().unwrap_or_default();
+                let probes = TreeProbes::build(&tree, trunk);
+                scored_per_probe(probes.trie.node_count());
+                let verification = accept_tree(&tree, &probes.nodes, scored, eos);
+                self.clock
+                    .charge_target(target.latency(), verification.nodes_processed.max(1));
 
                 // Two-pass sparse trees retain the trunk's rejected suffix
                 // for the next round.  The trunk's per-position target
-                // outputs are available from the same verification pass, so
-                // no extra latency is charged.
-                if let Some(trunk_tokens) = &trunk_tokens {
-                    let trunk_verification =
-                        verify_sequence(target, &self.audio, &self.tokens, trunk_tokens);
-                    self.recycle = if trunk_verification.all_accepted {
+                // outputs are its own nodes of the same verification pass,
+                // so no extra latency is charged.
+                if trunk_tokens.is_some() {
+                    let path = probes.trunk.iter().copied().zip(trunk.iter().copied());
+                    let walk = accept_path(scored, path, eos);
+                    self.recycle = if walk.all_accepted {
                         RecycleBuffer::new()
                     } else {
-                        RecycleBuffer::from_rejected(
-                            trunk_tokens,
-                            trunk_verification.accepted_len(),
-                        )
+                        RecycleBuffer::from_rejected(trunk, walk.accepted)
                     };
                 }
 
@@ -608,7 +634,7 @@ impl DecodeSession {
                     &mut self.tokens,
                     &verification.accepted,
                     verification.correction,
-                    self.audio.eos(),
+                    eos,
                     self.cap,
                     &mut self.stats,
                 );
@@ -738,73 +764,6 @@ impl DecodeSession {
     }
 }
 
-/// A "model" backed by the pre-scored probe table of one backend
-/// completion: `next_logits` looks the queried context's extension (beyond
-/// the committed prefix) up in the table instead of running a forward pass.
-///
-/// This is how a backend completion reaches [`DecodeSession::verify_round`]:
-/// the acceptance walk reads the pre-scored distributions, and the models
-/// behind a backend are pure, so the decisions are identical to verifying
-/// against the model itself.  The walk (`verify_sequence` / `verify_tree`)
-/// only ever queries contexts whose extensions are probes of the drafted
-/// round, so a missing entry is an invariant violation, not a recoverable
-/// condition.
-#[derive(Debug)]
-pub struct ProbeTableModel<'a> {
-    profile: &'a ModelProfile,
-    base_len: usize,
-    entries: HashMap<Vec<TokenId>, TokenLogits>,
-}
-
-impl<'a> ProbeTableModel<'a> {
-    /// Wraps `result`, the completion of the request
-    /// [`DecodeSession::verify_request`] built for `drafted`.  `profile` is
-    /// the profile of the target model the backend fronts: verification
-    /// latency is charged against it, exactly as verifying against the model
-    /// itself would charge it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `result` does not carry one scored distribution per probe
-    /// of `drafted`.
-    pub fn new(profile: &'a ModelProfile, result: &ForwardResult, drafted: &DraftedRound) -> Self {
-        let probes = drafted.probe_extensions();
-        assert_eq!(
-            probes.len(),
-            result.logits.len(),
-            "one scored distribution per verification probe"
-        );
-        ProbeTableModel {
-            profile,
-            base_len: drafted.committed_len,
-            entries: probes
-                .into_iter()
-                .zip(result.logits.iter().cloned())
-                .collect(),
-        }
-    }
-}
-
-impl AsrDecoderModel for ProbeTableModel<'_> {
-    fn profile(&self) -> &ModelProfile {
-        self.profile
-    }
-
-    fn next_logits(&self, _audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
-        assert!(
-            prefix.len() >= self.base_len,
-            "verification contexts always extend the committed prefix"
-        );
-        let extension = &prefix[self.base_len..];
-        self.entries.get(extension).cloned().unwrap_or_else(|| {
-            panic!(
-                "verification probed an unscored extension of {} tokens",
-                extension.len()
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -848,12 +807,22 @@ pub(crate) mod tests {
         D: Drafter + ?Sized,
         T: AsrDecoderModel + ?Sized,
     {
-        while !session.is_finished() {
-            let drafted = session.draft_round(drafter);
-            session
-                .verify_round(pool, target, drafted)
-                .expect("pool has room");
-        }
+        session
+            .decode_to_end(pool, drafter, target)
+            .expect("pool has room");
+    }
+
+    /// Scores `drafted` against `target` and verifies it.
+    fn verify<T: AsrDecoderModel>(
+        session: &mut DecodeSession,
+        pool: &mut KvPool,
+        target: &T,
+        drafted: DraftedRound,
+    ) -> Result<bool, PoolError> {
+        let scored = drafted
+            .probes()
+            .score(target, session.audio(), session.tokens());
+        session.verify_round(pool, target.profile(), drafted, &scored)
     }
 
     #[test]
@@ -886,9 +855,7 @@ pub(crate) mod tests {
         while sessions.iter().any(|s| !s.is_finished()) {
             for session in sessions.iter_mut().filter(|s| !s.is_finished()) {
                 let drafted = session.draft_round(&drafter);
-                session
-                    .verify_round(&mut pool, &target, drafted)
-                    .expect("unbounded");
+                verify(session, &mut pool, &target, drafted).expect("unbounded");
             }
         }
         for (session, utt) in sessions.into_iter().zip(audio.iter()) {
@@ -919,9 +886,7 @@ pub(crate) mod tests {
         let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
         let mut session = fresh(policy, &audio[0], &mut pool);
         let drafted = session.draft_round(&ModelDrafter::new(&draft));
-        session
-            .verify_round(&mut pool, &target, drafted)
-            .expect("unbounded");
+        verify(&mut session, &mut pool, &target, drafted).expect("unbounded");
         let partial = session.into_outcome();
         assert!(partial.tokens.len() <= reference.len());
         assert_eq!(partial.tokens[..], reference[..partial.tokens.len()]);
@@ -1036,9 +1001,7 @@ pub(crate) mod tests {
         let drafted = session.draft_round(&ModelDrafter::new(&draft));
         let demand = session.round_kv_demand(&pool, &drafted);
         let before = pool.used_blocks();
-        session
-            .verify_round(&mut pool, &target, drafted)
-            .expect("room");
+        verify(&mut session, &mut pool, &target, drafted).expect("room");
         // The round's net growth is bounded by the predicted demand (the
         // post-commit rollback may return some of it).
         assert!(pool.used_blocks() <= before + demand.draft_blocks + demand.target_blocks);
@@ -1142,16 +1105,15 @@ pub(crate) mod tests {
                 let mut session = fresh(policy, utt, &mut pool);
                 let mut now = 0.0;
                 while !session.is_finished() {
-                    let drafted = session.draft_round_via(&mut draft_backend, now);
+                    let drafted = session.draft_round_via(&mut draft_backend, draft.profile(), now);
                     let request = session.verify_request(&drafted);
                     let tickets = target_backend.submit(BackendBatch::of(request), now);
                     let result = target_backend
                         .complete(tickets[0])
                         .expect("computed at submit");
                     now = result.completed_ms;
-                    let scored = ProbeTableModel::new(target.profile(), &result, &drafted);
                     session
-                        .verify_round(&mut pool, &scored, drafted)
+                        .verify_round(&mut pool, target.profile(), drafted, &result.logits)
                         .expect("unbounded");
                 }
                 assert_eq!(session.into_outcome(), blocking, "policy {}", policy.name());
@@ -1173,15 +1135,14 @@ pub(crate) mod tests {
             let blocking = policy.decode(&draft, &target, utt);
             let mut session = fresh(policy, utt, &mut pool);
             while !session.is_finished() {
-                let drafted = session.draft_round_via(&mut draft_backend, 0.0);
+                let drafted = session.draft_round_via(&mut draft_backend, draft.profile(), 0.0);
                 let request = session.verify_request(&drafted);
                 let tickets = target_backend.submit(BackendBatch::of(request), 0.0);
                 let result = target_backend
                     .complete(tickets[0])
                     .expect("computed at submit");
-                let scored = ProbeTableModel::new(target.profile(), &result, &drafted);
                 session
-                    .verify_round(&mut pool, &scored, drafted)
+                    .verify_round(&mut pool, target.profile(), drafted, &result.logits)
                     .expect("pool has room");
             }
             session.release_kv(&mut pool);
@@ -1190,57 +1151,81 @@ pub(crate) mod tests {
         assert_eq!(pool.used_blocks(), 0);
     }
 
+    /// The reference probe list, spelled out path by path: the empty
+    /// probe, every prefix of a drafted sequence, and every distinct
+    /// tree-node path followed by the sparse-tree trunk prefixes, in
+    /// first-seen order.
+    fn probe_list(drafted: &DraftedRound) -> Vec<Vec<TokenId>> {
+        let mut probes: Vec<Vec<TokenId>> = vec![Vec::new()];
+        let mut push_unique = |probe: Vec<TokenId>| {
+            if !probes.contains(&probe) {
+                probes.push(probe);
+            }
+        };
+        match &drafted.plan {
+            RoundPlan::Autoregressive => {}
+            RoundPlan::Sequence { tokens, .. } | RoundPlan::ExternalSequence { tokens } => {
+                (1..=tokens.len()).for_each(|end| push_unique(tokens[..end].to_vec()));
+            }
+            RoundPlan::Tree {
+                tree, trunk_tokens, ..
+            } => {
+                tree.node_ids()
+                    .into_iter()
+                    .for_each(|id| push_unique(tree.path_tokens(id)));
+                let trunk = trunk_tokens.as_deref().unwrap_or_default();
+                (1..=trunk.len()).for_each(|end| push_unique(trunk[..end].to_vec()));
+            }
+        }
+        probes
+    }
+
     #[test]
     fn probe_extensions_cover_every_verification_query() {
-        // The probe list must contain the empty probe and one entry per
-        // draft position (sequences) or per distinct node path (trees).
-        let (draft, _target, audio) = setup(Split::DevClean);
-        let drafter = ModelDrafter::new(&draft);
-        let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
-        let mut ar = fresh(Policy::Autoregressive, &audio[0], &mut pool);
-        let drafted = ar.draft_round(&drafter);
-        assert_eq!(drafted.probe_extensions(), vec![Vec::new()]);
-
-        let policy = Policy::Speculative(SpeculativeConfig::short_single());
-        let mut spec = fresh(policy, &audio[0], &mut pool);
-        let drafted = spec.draft_round(&drafter);
-        let probes = drafted.probe_extensions();
-        assert_eq!(probes.len(), drafted.predicted_tokens() + 1);
-        assert_eq!(probes[0], Vec::<TokenId>::new());
-        for pair in probes.windows(2) {
-            assert_eq!(pair[1].len(), pair[0].len() + 1, "sequence prefixes grow");
+        // For every policy and drafter kind, each drafted round's trie holds
+        // exactly the distinct paths of the probe list, one node per path
+        // (so `probes_scored` is unchanged), in the list's order.
+        let (draft, target, audio) = setup(Split::DevClean);
+        let ctc = CtcDrafter::paired(&target);
+        let map = token_map_for(&audio);
+        let model = ModelDrafter::new(&draft);
+        let drafters: [&dyn Drafter; 3] = [&model, &ctc, &map];
+        let mut shapes = [0usize; 3]; // autoregressive, sequence, tree rounds
+        for policy in all_policies() {
+            for &drafter in &drafters {
+                for utt in audio.iter().take(2) {
+                    let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
+                    let mut session =
+                        DecodeSession::new(policy, utt.clone(), drafter.kind(), &[], &mut pool)
+                            .expect("unbounded");
+                    while !session.is_finished() {
+                        let drafted = session.draft_round(drafter);
+                        let trie = drafted.probes();
+                        let paths: Vec<Vec<TokenId>> =
+                            (0..trie.node_count()).map(|node| trie.path(node)).collect();
+                        assert_eq!(paths, probe_list(&drafted), "policy {}", policy.name());
+                        shapes[match drafted.plan {
+                            RoundPlan::Autoregressive => 0,
+                            RoundPlan::Tree { .. } => 2,
+                            _ => 1,
+                        }] += 1;
+                        verify(&mut session, &mut pool, &target, drafted).expect("unbounded");
+                    }
+                }
+            }
         }
-
-        let policy = Policy::TwoPassSparseTree(SparseTreeConfig::paper());
-        let mut tree = fresh(policy, &audio[0], &mut pool);
-        let drafted = tree.draft_round(&drafter);
-        let probes = drafted.probe_extensions();
-        assert!(probes.len() > 1);
-        let mut seen = probes.clone();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), probes.len(), "probes are unique");
+        assert!(shapes.iter().all(|&rounds| rounds > 0), "{shapes:?}");
     }
 
     #[test]
     #[should_panic(expected = "one scored distribution per verification probe")]
     fn mismatched_verify_results_panic() {
-        use specasr_models::{ForwardKind, Ticket};
         let (draft, target, audio) = setup(Split::DevOther);
         let policy = Policy::Speculative(SpeculativeConfig::short_single());
         let mut pool = KvPool::unbounded(PRIVATE_BLOCK_SIZE);
         let mut session = fresh(policy, &audio[0], &mut pool);
         let drafted = session.draft_round(&ModelDrafter::new(&draft));
-        let bogus = ForwardResult {
-            ticket: Ticket::new(0),
-            kind: ForwardKind::Verify,
-            logits: Vec::new(),
-            submitted_ms: 0.0,
-            started_ms: 0.0,
-            completed_ms: 0.0,
-            batch_requests: 1,
-        };
-        let _ = ProbeTableModel::new(target.profile(), &bogus, &drafted);
+        let _ = session.verify_round(&mut pool, target.profile(), drafted, &[]);
     }
 
     #[test]

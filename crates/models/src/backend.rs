@@ -9,16 +9,18 @@
 //!
 //! 1. callers build a [`BackendBatch`] of [`ForwardRequest`]s — each request
 //!    is one forward pass: an audio context, a shared generated prefix, and
-//!    the *probe extensions* whose next-token distributions the pass must
-//!    score (a single-token draft step probes one position; verifying a
-//!    whole drafted sequence or token tree probes every draft position in
-//!    the same pass, which is exactly how speculative verification runs on
-//!    real hardware);
+//!    the [`ProbeTrie`] of positions whose next-token distributions the pass
+//!    must score (a single-token draft step probes the trie's root alone;
+//!    verifying a whole drafted sequence or token tree probes every draft
+//!    position in the same pass, which is exactly how speculative
+//!    verification runs on real hardware);
 //! 2. [`AsrBackend::submit`] enqueues the batch at a caller-supplied wall
 //!    time and returns one [`Ticket`] per request;
 //! 3. [`AsrBackend::poll`] / [`AsrBackend::complete`] drain the completion
-//!    queue: each [`ForwardResult`] carries the scored [`TokenLogits`] plus
-//!    the modeled in-flight span (submit → completion) of its batch.
+//!    queue: each [`ForwardResult`] carries one scored [`TokenLogits`] per
+//!    trie node, in node order, plus the modeled in-flight span (submit →
+//!    completion) of its batch.  Both simulated backends score with
+//!    [`ProbeTrie::score`], the routine blocking decodes use too.
 //!
 //! The design is deliberately futures-free — no executor, no `tokio` — so it
 //! works with the offline shims while mapping directly onto an asynchronous
@@ -63,6 +65,7 @@ use specasr_tokenizer::TokenId;
 
 use crate::binding::UtteranceTokens;
 use crate::logits::TokenLogits;
+use crate::probe::ProbeTrie;
 use crate::profiles::ModelProfile;
 use crate::traits::AsrDecoderModel;
 
@@ -79,15 +82,15 @@ pub enum ForwardKind {
 }
 
 /// One forward pass a backend must run: the audio context, the shared
-/// generated prefix, and the probe extensions to score.
+/// generated prefix, and the trie of positions to score.
 ///
-/// Each probe is a token extension of `prefix`; the backend returns the
-/// next-token distribution *after* `prefix + probe`, one [`TokenLogits`] per
-/// probe, in probe order.  The empty probe scores the position directly
-/// after the prefix.  `charge_tokens` is the token width the pass occupies
-/// on the accelerator (what latency pricing is based on) — for a verify
-/// pass, the drafted-token count the verification processes, not the probe
-/// count.
+/// Each trie node is a token extension of `prefix`; the backend returns the
+/// next-token distribution *after* `prefix` plus the node's path, one
+/// [`TokenLogits`] per node, in node order.  The root scores the position
+/// directly after the prefix.  `charge_tokens` is the token width the pass
+/// occupies on the accelerator (what latency pricing is based on) — for a
+/// verify pass, the drafted-token count the verification processes, not
+/// the node count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardRequest {
     /// The audio context the model is conditioned on (shared — many requests
@@ -95,8 +98,8 @@ pub struct ForwardRequest {
     pub audio: Arc<UtteranceTokens>,
     /// The committed generated prefix shared by every probe.
     pub prefix: Vec<TokenId>,
-    /// Token extensions of `prefix` to score, in order.
-    pub probes: Vec<Vec<TokenId>>,
+    /// The positions to score, as token extensions of `prefix`.
+    pub probes: ProbeTrie,
     /// Token width the pass is priced at (parallel tokens processed).
     pub charge_tokens: usize,
     /// What the request is for.
@@ -109,18 +112,18 @@ impl ForwardRequest {
         ForwardRequest {
             audio,
             prefix,
-            probes: vec![Vec::new()],
+            probes: ProbeTrie::new(),
             charge_tokens: 1,
             kind: ForwardKind::DraftStep,
         }
     }
 
-    /// A verification pass scoring `probes` after `prefix`, priced at
-    /// `charge_tokens` parallel tokens.
+    /// A verification pass scoring every node of `probes` after `prefix`,
+    /// priced at `charge_tokens` parallel tokens.
     pub fn verify(
         audio: Arc<UtteranceTokens>,
         prefix: Vec<TokenId>,
-        probes: Vec<Vec<TokenId>>,
+        probes: ProbeTrie,
         charge_tokens: usize,
     ) -> Self {
         ForwardRequest {
@@ -207,7 +210,7 @@ pub struct ForwardResult {
     pub ticket: Ticket,
     /// What the request was for.
     pub kind: ForwardKind,
-    /// One distribution per probe, in probe order.
+    /// One distribution per probe-trie node, in node order.
     pub logits: Vec<TokenLogits>,
     /// Wall time the batch was submitted.
     pub submitted_ms: f64,
@@ -386,20 +389,13 @@ impl BackendState {
         self.counters.peak_in_flight = self.counters.peak_in_flight.max(in_flight);
 
         let mut tickets = Vec::with_capacity(batch_requests);
-        let mut context = Vec::new();
         for request in batch.requests {
             match request.kind {
                 ForwardKind::DraftStep => self.counters.draft_requests += 1,
                 ForwardKind::Verify => self.counters.verify_requests += 1,
             }
-            self.counters.probes_scored += request.probes.len();
-            let mut logits = Vec::with_capacity(request.probes.len());
-            for probe in &request.probes {
-                context.clear();
-                context.extend_from_slice(&request.prefix);
-                context.extend_from_slice(probe);
-                logits.push(model.next_logits(&request.audio, &context));
-            }
+            self.counters.probes_scored += request.probes.node_count();
+            let logits = request.probes.score(model, &request.audio, &request.prefix);
             let ticket = Ticket(self.next_ticket);
             self.next_ticket += 1;
             self.pending.0.push(ForwardResult {
@@ -804,10 +800,12 @@ impl<M: AsrDecoderModel> AsrBackend for InFlightSimBackend<M> {
 /// against a backend without being rewritten as state machines — the loop
 /// structure stays, the model boundary becomes [`ForwardRequest`].  `now_ms`
 /// stamps every submission (the serving scheduler passes its tick start).
+/// `profile` is the profile of the model the backend fronts, borrowed from
+/// the caller so a bridge built per draft round never copies it.
 #[derive(Debug)]
 pub struct BackendModelBridge<'a, B> {
     inner: Mutex<BridgeInner<'a, B>>,
-    profile: ModelProfile,
+    profile: &'a ModelProfile,
     now_ms: f64,
 }
 
@@ -822,26 +820,37 @@ struct BridgeInner<'a, B> {
 }
 
 impl<'a, B: AsrBackend> BackendModelBridge<'a, B> {
-    /// Bridges `backend`, stamping submissions at `now_ms`.
-    pub fn new(backend: &'a mut B, now_ms: f64) -> Self {
-        Self::construct(backend, now_ms, None)
+    /// Bridges `backend`, whose model has `profile`, stamping submissions
+    /// at `now_ms`.
+    pub fn new(backend: &'a mut B, profile: &'a ModelProfile, now_ms: f64) -> Self {
+        Self::construct(backend, profile, now_ms, None)
     }
 
     /// Like [`BackendModelBridge::new`], with the draft loop's audio context
     /// pre-seeded: callers that already hold the context behind an `Arc`
     /// (decode sessions do) share it into the bridge so no clone ever
     /// happens on the draft path.
-    pub fn with_audio(backend: &'a mut B, now_ms: f64, audio: Arc<UtteranceTokens>) -> Self {
+    pub fn with_audio(
+        backend: &'a mut B,
+        profile: &'a ModelProfile,
+        now_ms: f64,
+        audio: Arc<UtteranceTokens>,
+    ) -> Self {
         let seeded = Some((audio.id(), audio));
-        Self::construct(backend, now_ms, seeded)
+        Self::construct(backend, profile, now_ms, seeded)
     }
 
     fn construct(
         backend: &'a mut B,
+        profile: &'a ModelProfile,
         now_ms: f64,
         audio: Option<(UtteranceId, Arc<UtteranceTokens>)>,
     ) -> Self {
-        let profile = backend.profile().clone();
+        debug_assert_eq!(
+            backend.profile(),
+            profile,
+            "a bridge charges the profile of the model its backend fronts"
+        );
         BackendModelBridge {
             inner: Mutex::new(BridgeInner { backend, audio }),
             profile,
@@ -852,7 +861,7 @@ impl<'a, B: AsrBackend> BackendModelBridge<'a, B> {
 
 impl<B: AsrBackend + Send> AsrDecoderModel for BackendModelBridge<'_, B> {
     fn profile(&self) -> &ModelProfile {
-        &self.profile
+        self.profile
     }
 
     fn next_logits(&self, audio: &UtteranceTokens, prefix: &[TokenId]) -> TokenLogits {
@@ -909,16 +918,15 @@ mod tests {
     fn probe_results_match_direct_model_queries() {
         let (_, target, audio) = setup();
         let transcript = target.greedy_transcript(&audio[0]);
-        let probes: Vec<Vec<TokenId>> = (0..=transcript.len().min(4))
-            .map(|i| transcript[..i].to_vec())
-            .collect();
+        let probes = ProbeTrie::chain(&transcript[..transcript.len().min(4)]);
         let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), probes.clone(), 4);
         let mut backend = SyncBackendAdapter::new(&target);
         let tickets = backend.submit(BackendBatch::of(request), 10.0);
         let result = backend.complete(tickets[0]).expect("computed at submit");
-        assert_eq!(result.logits.len(), probes.len());
-        for (probe, logits) in probes.iter().zip(&result.logits) {
-            assert_eq!(logits, &target.next_logits(&audio[0], probe));
+        assert_eq!(result.logits.len(), probes.node_count());
+        assert_eq!(backend.counters().probes_scored, probes.node_count());
+        for (node, logits) in result.logits.iter().enumerate() {
+            assert_eq!(logits, &target.next_logits(&audio[0], &probes.path(node)));
         }
         assert_eq!(result.kind, ForwardKind::Verify);
         assert!((result.submitted_ms - 10.0).abs() < 1e-12);
@@ -933,7 +941,7 @@ mod tests {
             batch.push(ForwardRequest::verify(
                 audio[0].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                ProbeTrie::new(),
                 widths,
             ));
         }
@@ -972,8 +980,8 @@ mod tests {
         let (_, target, audio) = setup();
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target).with_dispatch_overhead_ms(2.0);
-        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 8);
-        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), vec![Vec::new()], 4);
+        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), ProbeTrie::new(), 8);
+        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), ProbeTrie::new(), 4);
         backend.submit(BackendBatch::of(a), 0.0);
         backend.submit(BackendBatch::of(b), 1.0); // queues behind the first
         let results = backend.poll();
@@ -981,7 +989,7 @@ mod tests {
         assert!((results[0].completed_ms - first_done).abs() < 1e-9);
         assert!((results[1].completed_ms - (first_done + latency.forward_pass_ms(4))).abs() < 1e-9);
         // Submitting after the device drained starts immediately again.
-        let c = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 1);
+        let c = ForwardRequest::verify(audio[0].clone(), Vec::new(), ProbeTrie::new(), 1);
         let tickets = backend.submit(BackendBatch::of(c), 1e6);
         let result = backend.complete(tickets[0]).expect("completed");
         assert!((result.completed_ms - (1e6 + 2.0 + latency.forward_pass_ms(1))).abs() < 1e-6);
@@ -996,7 +1004,7 @@ mod tests {
         let mut backend = SyncBackendAdapter::new(&draft);
         let reference = draft.greedy_transcript(&audio[0]);
         let transcript = {
-            let bridge = BackendModelBridge::new(&mut backend, 0.0);
+            let bridge = BackendModelBridge::new(&mut backend, draft.profile(), 0.0);
             bridge.greedy_transcript(&audio[0])
         };
         assert_eq!(transcript, reference);
@@ -1015,7 +1023,7 @@ mod tests {
             BackendBatch::of(ForwardRequest::verify(
                 audio[0].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                ProbeTrie::new(),
                 16,
             )),
             0.0,
@@ -1024,7 +1032,7 @@ mod tests {
             BackendBatch::of(ForwardRequest::verify(
                 audio[1].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                ProbeTrie::new(),
                 1,
             )),
             0.0,
@@ -1050,7 +1058,7 @@ mod tests {
             verify.push(ForwardRequest::verify(
                 audio[0].clone(),
                 Vec::new(),
-                vec![Vec::new()],
+                ProbeTrie::new(),
                 2,
             ));
         }
@@ -1117,8 +1125,8 @@ mod tests {
         let latency = target.profile().latency().clone();
         let mut backend = InFlightSimBackend::new(&target);
         let service = latency.forward_pass_ms(8);
-        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 8);
-        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), vec![Vec::new()], 8);
+        let a = ForwardRequest::verify(audio[0].clone(), Vec::new(), ProbeTrie::new(), 8);
+        let b = ForwardRequest::verify(audio[1].clone(), Vec::new(), ProbeTrie::new(), 8);
         backend.submit(BackendBatch::of(a), 0.0);
         backend.submit(BackendBatch::of(b), service + 25.0);
         let counters = backend.counters();

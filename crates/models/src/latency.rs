@@ -10,7 +10,11 @@
 //! ```
 //!
 //! and prefilling a prompt/audio context of `n` tokens costs
-//! `prefill_per_token_ms · n` on top of one base overhead.  Speedup ratios —
+//! `prefill_per_token_ms · n` on top of one base overhead
+//! ([`LatencyModel::prefill_ms`]).  No decode path charges prefill to a
+//! [`DecodeClock`]: the modeled clock prices encoder, draft and
+//! verification passes only, so KV reuse across a prefill changes host time
+//! and KV writes but not modeled latency.  Speedup ratios —
 //! the quantity every figure reports — depend only on how many draft steps and
 //! how many (and how wide) target verification passes each policy issues,
 //! which this model preserves.  Calibration constants live in
@@ -179,24 +183,10 @@ impl DecodeClock {
         self.draft_tokens_processed += tokens as u64;
     }
 
-    /// Charges one draft-model prefill over `tokens` context tokens.
-    pub fn charge_draft_prefill(&mut self, model: &LatencyModel, tokens: usize) {
-        self.breakdown.draft_ms += model.prefill_ms(tokens);
-        self.draft_passes += 1;
-        self.draft_tokens_processed += tokens as u64;
-    }
-
     /// Charges one target-model forward (verification) pass over `tokens`
     /// tokens.
     pub fn charge_target(&mut self, model: &LatencyModel, tokens: usize) {
         self.breakdown.target_ms += model.forward_pass_ms(tokens);
-        self.target_passes += 1;
-        self.target_tokens_processed += tokens as u64;
-    }
-
-    /// Charges one target-model prefill over `tokens` context tokens.
-    pub fn charge_target_prefill(&mut self, model: &LatencyModel, tokens: usize) {
-        self.breakdown.target_ms += model.prefill_ms(tokens);
         self.target_passes += 1;
         self.target_tokens_processed += tokens as u64;
     }

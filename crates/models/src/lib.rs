@@ -18,6 +18,9 @@
 //! * [`backend`] — the batched submit/complete [`backend::AsrBackend`] API
 //!   serving schedulers drive: [`backend::ForwardRequest`] batches, tickets,
 //!   a completion queue, and simulated in-flight backends,
+//! * [`probe`] — the [`probe::ProbeTrie`] of positions one forward pass
+//!   scores (the root for a draft step; every draft position of a sequence
+//!   or token tree for a verification pass) and the one scoring routine,
 //! * [`simulated`] — the audio-conditioned simulated ASR model: scale-
 //!   dependent substitution errors, draft/target agreement driven by acoustic
 //!   difficulty, re-alignment after mismatches,
@@ -56,6 +59,7 @@ pub mod ctc;
 pub(crate) mod hashing;
 pub mod latency;
 pub mod logits;
+pub mod probe;
 pub mod profiles;
 pub mod rpc;
 pub mod simulated;
@@ -72,6 +76,7 @@ pub use ctc::CtcDrafter;
 pub use hashing::splitmix64;
 pub use latency::{DecodeClock, LatencyBreakdown, LatencyModel};
 pub use logits::TokenLogits;
+pub use probe::ProbeTrie;
 pub use profiles::{AccuracyProfile, ModelProfile, ModelRole, ModelScale};
 pub use rpc::RpcBackend;
 pub use simulated::SimulatedAsrModel;

@@ -247,8 +247,10 @@ mod tests {
     use super::*;
     use crate::backend::{ForwardKind, ForwardRequest};
     use crate::binding::{TokenizerBinding, UtteranceTokens};
+    use crate::probe::ProbeTrie;
     use crate::simulated::SimulatedAsrModel;
     use specasr_audio::{Corpus, Split};
+    use specasr_tokenizer::TokenId;
 
     fn setup() -> (SimulatedAsrModel, Vec<Arc<UtteranceTokens>>) {
         let corpus = Corpus::librispeech_like(11, 3);
@@ -293,7 +295,7 @@ mod tests {
                 batch.push(if (step + wave) % 4 == 0 {
                     ForwardRequest::draft_step(context, Vec::new())
                 } else {
-                    let probes = vec![Vec::new(); 1 + wave];
+                    let probes = ProbeTrie::chain(&[TokenId::new(5); 2][..wave]);
                     ForwardRequest::verify(context, Vec::new(), probes, 2 + step % 5)
                 });
             }
@@ -341,7 +343,7 @@ mod tests {
         remote.set_device_tracing(true);
         for (i, context) in audio.iter().enumerate() {
             let request =
-                ForwardRequest::verify(context.clone(), Vec::new(), vec![Vec::new()], 3 + i);
+                ForwardRequest::verify(context.clone(), Vec::new(), ProbeTrie::new(), 3 + i);
             local.submit(BackendBatch::of(request.clone()), i as f64);
             remote.submit(BackendBatch::of(request), i as f64);
         }
@@ -355,7 +357,7 @@ mod tests {
         // Disabling clears the buffered log on both sides.
         local.set_device_tracing(true);
         remote.set_device_tracing(true);
-        let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), vec![Vec::new()], 2);
+        let request = ForwardRequest::verify(audio[0].clone(), Vec::new(), ProbeTrie::new(), 2);
         local.submit(BackendBatch::of(request.clone()), 99.0);
         remote.submit(BackendBatch::of(request), 99.0);
         local.set_device_tracing(false);

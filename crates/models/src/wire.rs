@@ -19,15 +19,20 @@
 //! * a [`TokenId`] is its raw `u32`;
 //! * every `f64` is its `to_bits` pattern, so `-0.0`, subnormals,
 //!   infinities and NaN payloads round-trip bit for bit;
-//! * a `bool` or a [`ForwardKind`] is one byte (`0` or `1`).
+//! * a `bool` or a [`ForwardKind`] is one byte (`0` or `1`);
+//! * a [`ProbeTrie`] is its node count after the root, then each node's
+//!   token and parent index as `u32`s — O(k) per request, where a list of
+//!   prefixes would be O(k²).
 //!
 //! A [`ForwardRequest`] holds its audio context behind an `Arc` so many
 //! requests of one session share it; an `Arc` cannot cross a process
 //! boundary, so the frame inlines the context by value and the worker
 //! re-wraps it in a fresh `Arc` on decode.
 //!
-//! Decoding is total: a frame that ends early, carries an unknown tag, or
-//! has bytes left over decodes to a [`WireError`], never a panic.  Because
+//! Decoding is total: a frame that ends early, carries an unknown tag, names
+//! a trie parent that does not precede its node, or has bytes left over
+//! decodes to a [`WireError`], never a panic (then or later, when the
+//! worker scores the batch).  Because
 //! the worker prices batches with the same [`crate::InFlightSimBackend`]
 //! timeline, a scheduler driven over the wire produces byte-identical
 //! transcripts *and* identical latency stats to one holding the backend
@@ -44,6 +49,7 @@ use crate::backend::{
 };
 use crate::binding::UtteranceTokens;
 use crate::logits::{Candidate, TokenLogits};
+use crate::probe::ProbeTrie;
 
 /// One call from the client half of [`crate::RpcBackend`] to its worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,6 +107,13 @@ pub enum WireError {
     UnknownTag(u8),
     /// The frame decoded completely with this many bytes left over.
     TrailingBytes(usize),
+    /// A probe-trie node named a parent that is not an earlier node.
+    BadParent {
+        /// Index of the offending node.
+        node: usize,
+        /// The parent index it named.
+        parent: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -109,6 +122,12 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "wire frame truncated"),
             WireError::UnknownTag(tag) => write!(f, "unknown wire tag {tag:#04x}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after a wire frame"),
+            WireError::BadParent { node, parent } => {
+                write!(
+                    f,
+                    "probe-trie node {node} names parent {parent}, not an earlier node"
+                )
+            }
         }
     }
 }
@@ -270,9 +289,18 @@ impl Writer {
     fn request(&mut self, request: &ForwardRequest) {
         self.audio(&request.audio);
         self.seq(&request.prefix, Writer::token);
-        self.seq(&request.probes, |w, probe| w.seq(probe, Writer::token));
+        self.probes(&request.probes);
         self.usize(request.charge_tokens);
         self.kind(request.kind);
+    }
+
+    fn probes(&mut self, trie: &ProbeTrie) {
+        let edges = trie.edges();
+        self.u32(u32::try_from(edges.len()).expect("probe tries hold fewer than 2^32 nodes"));
+        for (token, parent) in edges {
+            self.token(&token);
+            self.u32(parent as u32);
+        }
     }
 
     fn logits(&mut self, logits: &TokenLogits) {
@@ -413,10 +441,29 @@ impl Reader<'_> {
         Ok(ForwardRequest {
             audio: Arc::new(self.audio()?),
             prefix: self.seq(Reader::token)?,
-            probes: self.seq(|r| r.seq(Reader::token))?,
+            probes: self.probes()?,
             charge_tokens: self.usize()?,
             kind: self.kind()?,
         })
+    }
+
+    /// Reads a probe trie, checking that every parent precedes its node
+    /// (so scoring the decoded trie cannot index out of bounds).
+    fn probes(&mut self) -> Result<ProbeTrie, WireError> {
+        let len = self.u32()? as usize;
+        if len > self.0.len() {
+            return Err(WireError::Truncated);
+        }
+        let mut trie = ProbeTrie::new();
+        for node in 1..=len {
+            let token = self.token()?;
+            let parent = self.u32()? as usize;
+            if parent >= node {
+                return Err(WireError::BadParent { node, parent });
+            }
+            trie.push(parent, token);
+        }
+        Ok(trie)
     }
 
     fn logits(&mut self) -> Result<TokenLogits, WireError> {
@@ -486,10 +533,39 @@ mod tests {
         batch.push(ForwardRequest::verify(
             audio(),
             vec![TokenId::new(1), TokenId::new(4)],
-            vec![Vec::new(), vec![TokenId::new(9)]],
+            ProbeTrie::chain(&[TokenId::new(9)]),
             6,
         ));
+        batch.push(ForwardRequest::verify(audio(), Vec::new(), tree(), 4));
         batch
+    }
+
+    /// A branching trie: two chains under the root plus a side branch.
+    fn tree() -> ProbeTrie {
+        let mut trie = ProbeTrie::chain(&[TokenId::new(5), TokenId::new(6)]);
+        trie.push(0, TokenId::new(7));
+        trie.push(1, TokenId::new(8));
+        trie
+    }
+
+    /// A verify submit over a trie of `nodes` nodes after the root.
+    fn submit_of(nodes: usize) -> WireCall {
+        let mut trie = ProbeTrie::new();
+        for node in 1..=nodes {
+            // Alternate chain steps and branches back towards the root.
+            let parent = if node % 3 == 0 { node / 3 } else { node - 1 };
+            trie.push(parent, TokenId::new(node as u32 * 11));
+        }
+        assert_eq!(trie.node_count(), nodes + 1);
+        WireCall::Submit(
+            2.5,
+            BackendBatch::of(ForwardRequest::verify(
+                audio(),
+                vec![TokenId::new(2)],
+                trie,
+                9,
+            )),
+        )
     }
 
     fn result(ticket: u64) -> ForwardResult {
@@ -537,6 +613,9 @@ mod tests {
         vec![
             WireCall::Submit(1234.5, batch()),
             WireCall::Submit(0.0, BackendBatch::new()),
+            submit_of(0),
+            submit_of(1),
+            submit_of(24),
             WireCall::SetTracing(true),
             WireCall::SetTracing(false),
             WireCall::TakeDeviceEvents,
@@ -578,6 +657,49 @@ mod tests {
         for reply in replies() {
             assert_eq!(decode_reply(&encode_reply(&reply)), Ok(reply));
         }
+    }
+
+    #[test]
+    fn probe_tries_round_trip_bit_exactly() {
+        for nodes in [0, 1, 24] {
+            let call = submit_of(nodes);
+            let frame = encode_call(&call);
+            let decoded = decode_call(&frame).expect("a valid submit frame");
+            assert_eq!(decoded, call, "{nodes} nodes");
+            assert_eq!(encode_call(&decoded), frame, "{nodes} nodes");
+        }
+        // The root costs four bytes (the node count), every further node
+        // eight: O(k) per request.
+        let root_only = encode_call(&submit_of(0)).len();
+        assert_eq!(encode_call(&submit_of(24)).len(), root_only + 24 * 8);
+    }
+
+    #[test]
+    fn a_parent_that_does_not_precede_its_node_is_a_typed_error() {
+        let frame = encode_call(&submit_of(3));
+        // The last node's parent index is the frame's final field before
+        // the request's charge (u64) and kind (u8).
+        let at = frame.len() - 1 - 8 - 4;
+        assert_eq!(
+            frame[at..at + 4],
+            1u32.to_le_bytes(),
+            "node 3 hangs off node 1"
+        );
+        for (parent, node) in [(3u32, 3usize), (4, 3), (u32::MAX, 3)] {
+            let mut bad = frame.clone();
+            bad[at..at + 4].copy_from_slice(&parent.to_le_bytes());
+            assert_eq!(
+                decode_call(&bad),
+                Err(WireError::BadParent {
+                    node,
+                    parent: parent as usize
+                })
+            );
+        }
+        assert_eq!(
+            WireError::BadParent { node: 3, parent: 3 }.to_string(),
+            "probe-trie node 3 names parent 3, not an earlier node"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy, ProbeTableModel};
+use specasr::{DecodeOutcome, Drafter, DrafterKind, Policy};
 use specasr_audio::{chunk_schedule, EncoderProfile, Utterance};
 use specasr_models::{
     splitmix64, AsrBackend, AsrDecoderModel, BackendBatch, BackendCounters, DeviceTimeline,
@@ -177,6 +177,9 @@ pub struct Scheduler<D, T> {
     /// device timeline — sessions draft in parallel, the model for a pool of
     /// draft-sized accelerators.
     draft: SyncBackendAdapter<D>,
+    /// The draft model's profile, held once so per-round draft bridges
+    /// borrow it instead of copying it.
+    draft_profile: ModelProfile,
     /// The target backend: cross-session verification batches run through
     /// it.  One serialised device timeline, so verification waves submitted
     /// while straggler draft phases still run genuinely overlap them.
@@ -283,6 +286,7 @@ where
         let mut stats = ServerStats::new();
         stats.set_kv_capacity(2 * config.kv_blocks);
         Scheduler {
+            draft_profile: draft.profile().clone(),
             draft: SyncBackendAdapter::new(draft),
             target,
             draft_timeline: DeviceTimeline::new(config.draft_lanes),
@@ -812,9 +816,11 @@ where
             // (no backend batches, no draft latency charged — their `spent`
             // stays 0.0 and the verify planner sorts them first).
             let round = match session.decode.drafter() {
-                DrafterKind::ModelDraft => session
-                    .decode
-                    .draft_round_via(&mut self.draft, ready[index]),
+                DrafterKind::ModelDraft => session.decode.draft_round_via(
+                    &mut self.draft,
+                    &self.draft_profile,
+                    ready[index],
+                ),
                 kind => {
                     let drafter = self
                         .drafters
@@ -1005,7 +1011,6 @@ where
         // preemption policy evicts sessions until the round fits — or, when
         // nothing is left to evict, the triggering request itself is dropped
         // with a memory rejection.
-        let target_profile = self.target.profile().clone();
         let mut removal = vec![Removal::Keep; self.active.len()];
         // Billed width of each wave (= its backend batch's `charge_tokens`):
         // the denominator of the per-token device-time share that both the
@@ -1040,10 +1045,9 @@ where
             let wave_service_ms = (result.completed_ms - result.started_ms).max(0.0);
             let session = &mut self.active[index];
             let rounds_before = session.decode.stats().rounds_detail.len();
-            let scored = ProbeTableModel::new(&target_profile, &result, &round);
             session
                 .decode
-                .verify_round(&mut self.kv, &scored, round)
+                .verify_round(&mut self.kv, self.target.profile(), round, &result.logits)
                 .expect("headroom was ensured before verification");
             // Speculation accounting: the round's drafted/accepted counts
             // (everything the verify pass just recorded) and its share of
@@ -1056,11 +1060,9 @@ where
                 });
             let wave_index = wave_of[index];
             let per_token_ms = wave_service_ms / wave_charges[wave_index].max(1) as f64;
-            let policy_name = session.policy.name();
-            let drafter_label = session.decode.drafter().label();
             self.stats.record_verify_outcome(
-                &policy_name,
-                drafter_label,
+                &session.policy_name,
+                session.decode.drafter().label(),
                 round_drafted,
                 round_accepted,
                 verify_widths[index],

@@ -162,6 +162,7 @@ impl QueuedRequest {
                 Ok(ServerSession {
                     id: self.id,
                     policy: self.policy,
+                    policy_name: self.policy.name(),
                     drafter: self.drafter,
                     utterance_id: self.utterance_id,
                     audio_seconds: self.audio_seconds,
@@ -188,6 +189,9 @@ impl QueuedRequest {
 pub(crate) struct ServerSession {
     pub id: RequestId,
     pub policy: Policy,
+    /// [`Policy::name`], rendered once per admission: the speculation
+    /// accounting of every verified round is keyed by it.
+    pub policy_name: String,
     /// The draft source the decode session speculates from (mirrors
     /// [`DecodeSession::drafter`]; kept here for re-queueing).
     pub drafter: DrafterKind,

@@ -537,10 +537,19 @@ impl ServerStats {
         charged: usize,
         per_token_ms: f64,
     ) {
-        let group = self
+        // A run has a handful of groups: find the group by borrowed key and
+        // allocate the owned key only when the group is new.
+        let known = self
             .speculation
-            .entry((policy.to_string(), drafter.to_string()))
-            .or_default();
+            .iter_mut()
+            .find(|((p, d), _)| p == policy && d == drafter);
+        let group = match known {
+            Some((_, group)) => group,
+            None => self
+                .speculation
+                .entry((policy.to_owned(), drafter.to_owned()))
+                .or_default(),
+        };
         group.rounds += 1;
         group.drafted_tokens += drafted;
         group.accepted_tokens += accepted;

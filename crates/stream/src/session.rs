@@ -304,13 +304,9 @@ impl StreamingSession {
         let mut session = self
             .resume_decode(&mut pool)?
             .expect("an unbounded pool always admits");
-        let drafter = ModelDrafter::new(draft);
-        while !session.is_finished() {
-            let drafted = session.draft_round(&drafter);
-            session
-                .verify_round(&mut pool, target, drafted)
-                .expect("an unbounded pool never exhausts");
-        }
+        session
+            .decode_to_end(&mut pool, &ModelDrafter::new(draft), target)
+            .expect("an unbounded pool never exhausts");
         session.release_kv(&mut pool);
         Some(self.absorb(&session.into_outcome()))
     }
@@ -539,13 +535,9 @@ mod tests {
                 continue;
             };
             let mut session = result.expect("pool has room");
-            let drafter = ModelDrafter::new(&draft);
-            while !session.is_finished() {
-                let drafted = session.draft_round(&drafter);
-                session
-                    .verify_round(&mut pool, &target, drafted)
-                    .expect("pool has room");
-            }
+            session
+                .decode_to_end(&mut pool, &ModelDrafter::new(&draft), &target)
+                .expect("pool has room");
             session.release_kv(&mut pool);
             pooled.absorb(&session.into_outcome());
         }

@@ -11,8 +11,8 @@
 
 use proptest::prelude::*;
 use specasr::{
-    AdaptiveConfig, DecodeSession, DrafterKind, Policy, ProbeTableModel, SparseTreeConfig,
-    SpeculativeConfig, PRIVATE_BLOCK_SIZE,
+    AdaptiveConfig, DecodeSession, DrafterKind, Policy, SparseTreeConfig, SpeculativeConfig,
+    PRIVATE_BLOCK_SIZE,
 };
 use specasr_audio::Split;
 use specasr_models::{
@@ -59,6 +59,7 @@ fn decode_all_via_backend(
 ) -> Vec<(usize, Vec<specasr_tokenizer::TokenId>)> {
     let mut draft_backend = SyncBackendAdapter::new(setup.draft.clone());
     let mut target_backend = SyncBackendAdapter::new(setup.target.clone());
+    let draft_profile = setup.draft.profile().clone();
     let target_profile = setup.target.profile().clone();
     let mut transcripts = Vec::new();
     let mut round = 0u64;
@@ -68,7 +69,7 @@ fn decode_all_via_backend(
         sessions.rotate_left(rotation);
         let mut drafted = Vec::with_capacity(sessions.len());
         for (_, session) in sessions.iter_mut() {
-            drafted.push(session.draft_round_via(&mut draft_backend, round as f64));
+            drafted.push(session.draft_round_via(&mut draft_backend, &draft_profile, round as f64));
         }
 
         // Verification: cross-session batches of `group_size`, submitted in
@@ -96,9 +97,9 @@ fn decode_all_via_backend(
         for index in commit_order {
             let result = scored[index].take().expect("scored above");
             let (_, session) = &mut sessions[index];
-            let scored = ProbeTableModel::new(&target_profile, &result, &drafted[index]);
+            let round = drafted[index].clone();
             session
-                .verify_round(pool, &scored, drafted[index].clone())
+                .verify_round(pool, &target_profile, round, &result.logits)
                 .expect("unbounded");
         }
         let mut index = 0;

@@ -74,8 +74,11 @@ fn decode_with(
             0,
             "a draft-free round must demand no draft sub-pool blocks"
         );
+        let scored = drafted
+            .probes()
+            .score(&setup.target, session.audio(), session.tokens());
         session
-            .verify_round(pool, &setup.target, drafted)
+            .verify_round(pool, setup.target.profile(), drafted, &scored)
             .expect("the test pool covers the whole decode");
         assert_eq!(pool.sub_pool_used_blocks().0, 0);
     }
