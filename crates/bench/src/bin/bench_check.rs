@@ -2,20 +2,18 @@
 //!
 //! Compares freshly generated serving records under `target/experiments/`
 //! against the committed `BENCH_*.json` baselines, failing (exit code 1)
-//! when any gated metric (see [`GATED_METRICS`]: throughput, P99 latency,
-//! KV-pool peaks/preemptions, streaming first-partial P99 and retraction
-//! rate, decoder-backend verification batch occupancy, live-migration
-//! counts and in-budget goodput) drifts outside the tolerance band in
-//! either direction.
+//! when any value of any baseline row is not reproduced: every column is
+//! modeled, so counts must match exactly and every other value within
+//! [`EXACT_RELATIVE`] (see [`compare_records`]).
 //!
 //! ```text
 //! # default pairs (serve_load + serve_open_loop + serve_streaming +
-//! # serve_elastic), ±15% tolerance:
+//! # serve_elastic):
 //! cargo run -p specasr-bench --release --bin bench_check
 //!
-//! # explicit pairs and tolerance:
+//! # explicit pairs:
 //! cargo run -p specasr-bench --release --bin bench_check -- \
-//!     --tolerance 0.10 BENCH_serve.json target/experiments/serve_load.json
+//!     BENCH_serve.json target/experiments/serve_load.json
 //! ```
 //!
 //! To intentionally move a baseline, rerun the sweep with
@@ -32,9 +30,7 @@
 use std::process::ExitCode;
 
 use specasr_bench::experiments_dir;
-use specasr_bench::regression::{
-    breach_table, compare_records, Violation, DEFAULT_TOLERANCE, GATED_METRICS,
-};
+use specasr_bench::regression::{breach_table, compare_records, Violation, EXACT_RELATIVE};
 use specasr_metrics::ExperimentRecord;
 use specasr_trace::{analyze_events, parse_jsonl, TraceAnalysis};
 
@@ -69,29 +65,16 @@ fn default_pairs() -> Vec<(String, String)> {
 }
 
 struct Args {
-    tolerance: f64,
     pairs: Vec<(String, String)>,
     attributions: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut tolerance = DEFAULT_TOLERANCE;
     let mut paths = Vec::new();
     let mut attributions = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tolerance" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| "--tolerance needs a value".to_owned())?;
-                tolerance = value
-                    .parse::<f64>()
-                    .map_err(|_| format!("invalid tolerance `{value}`"))?;
-                if !tolerance.is_finite() || tolerance < 0.0 {
-                    return Err(format!("tolerance must be non-negative, got {value}"));
-                }
-            }
             "--attribution" => {
                 attributions.push(
                     args.next()
@@ -99,11 +82,9 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: bench_check [--tolerance 0.15] [--attribution <dump.jsonl>]... \
+                return Err("usage: bench_check [--attribution <dump.jsonl>]... \
                      [<baseline.json> <fresh.json>]..."
-                        .to_owned(),
-                )
+                    .to_owned())
             }
             path => paths.push(path.to_owned()),
         }
@@ -120,7 +101,6 @@ fn parse_args() -> Result<Args, String> {
             .collect()
     };
     Ok(Args {
-        tolerance,
         pairs,
         attributions,
     })
@@ -159,7 +139,6 @@ fn print_attribution(path: &str) {
 
 fn main() -> ExitCode {
     let Args {
-        tolerance,
         pairs,
         attributions,
     } = match parse_args() {
@@ -170,9 +149,8 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "bench_check: gating {:?} at ±{:.0}%",
-        GATED_METRICS,
-        tolerance * 100.0
+        "bench_check: every baseline value must be reproduced (counts exactly, other values \
+         within {EXACT_RELATIVE:e} relative)"
     );
 
     let mut failed = false;
@@ -189,11 +167,16 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let violations = compare_records(&baseline, &fresh, tolerance);
+        let violations = compare_records(&baseline, &fresh);
         if violations.is_empty() {
             println!(
-                "  OK   {fresh_path} vs {baseline_path} ({} rows gated)",
-                baseline.rows.len()
+                "  OK   {fresh_path} vs {baseline_path} ({} rows, {} values reproduced)",
+                baseline.rows.len(),
+                baseline
+                    .rows
+                    .iter()
+                    .map(|row| row.values.len())
+                    .sum::<usize>()
             );
         } else {
             failed = true;
@@ -219,7 +202,7 @@ fn main() -> ExitCode {
                     .row(label)
                     .expect("violation labels come from baseline rows");
                 eprintln!("       row `{label}`:");
-                for line in breach_table(base_row, fresh.row(label), tolerance).lines() {
+                for line in breach_table(base_row, fresh.row(label)).lines() {
                     eprintln!("         {line}");
                 }
             }
@@ -238,7 +221,7 @@ fn main() -> ExitCode {
         );
         ExitCode::FAILURE
     } else {
-        println!("bench_check: all baselines within tolerance");
+        println!("bench_check: all baselines reproduced");
         ExitCode::SUCCESS
     }
 }

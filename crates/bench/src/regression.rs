@@ -1,82 +1,23 @@
 //! Bench-regression comparison: fresh experiment records vs committed
 //! baselines.
 //!
-//! The serving sweeps (`serve_load`, `serve_open_loop`) are deterministic,
-//! so their committed `BENCH_*.json` records are exact perf baselines.  The
+//! Every column of the committed `BENCH_*.json` records is modeled: it is
+//! read off the seeded simulated clock, not measured on the host, so a
+//! rerun of the same sweep reproduces it digit for digit.  The
 //! `bench_check` binary re-reads a freshly generated record from
-//! `target/experiments/` and fails CI when any gated metric drifts outside
-//! the tolerance band — throughput regressions and P99 latency blow-ups
-//! alike, in either direction (an unexplained 40% "improvement" usually
-//! means the benchmark stopped measuring what it used to).
+//! `target/experiments/` and fails CI when any value of any baseline row
+//! moves at all — counts must match exactly and every other value within
+//! [`EXACT_RELATIVE`] (float rounding).  A baseline changes only by
+//! explicit regeneration (`SPECASR_WRITE_BASELINE=1`), never by drifting
+//! inside a band.
 
 use specasr_metrics::{ExperimentRecord, ReportRow};
 
-/// Metrics gated by the regression check, when present in a row.
-///
-/// The memory metrics (`peak_kv_blocks`, `preemptions`) gate the paged
-/// KV-pool behaviour: a silent growth in peak occupancy is a memory
-/// regression even when throughput holds, and a baseline of zero
-/// preemptions must stay at zero (any fresh preemption blows the relative
-/// band wide open by construction).
-///
-/// The streaming metrics (`first_partial_p99_ms`, `retraction_rate`) gate
-/// the `serve_streaming` sweep: first-partial latency is the product metric
-/// streaming exists for, and the retraction rate is the partial-stability
-/// contract — a commit-rule change that silently makes partials flickier is
-/// a regression even when throughput holds.
-///
-/// `backend_batch_occupancy` gates the decoder-backend batching behaviour:
-/// the mean verification requests per cross-session `BackendBatch`.  A drop
-/// toward 1.0 means the scheduler quietly stopped grouping verification
-/// across sessions — the throughput benefit may survive in a given sweep
-/// (the cost model is affine), but the backend is no longer being driven in
-/// the batched shape real accelerators need, and that is a regression in
-/// its own right.
-///
-/// `in_flight_depth` gates the pipelined scheduler's submit-ahead window:
-/// the peak number of forward requests simultaneously outstanding on the
-/// target backend (by modeled timestamp overlap).  A collapse back toward
-/// the batch width means waves stopped overlapping across tick boundaries —
-/// the scheduler silently fell back to drain-per-tick and the device
-/// timeline has idle gaps again.
-///
-/// `rejected_draft_device_ms` gates speculation efficiency: the device
-/// milliseconds spent verifying draft tokens the target then rejected,
-/// summed across every (policy, drafter) group.  Throughput can hold while
-/// a drafter change quietly burns more device time on rejected drafts —
-/// the waste only surfaces once the fleet saturates, so the ledger itself
-/// is gated.
-///
-/// `migrations` gates the elastic-fleet drain path (`serve_elastic`): the
-/// sessions moved off draining workers.  A drop to zero means drains
-/// quietly stopped finding live sessions to migrate (the cell lost its
-/// bite); growth means scale decisions or placement changed shape.  Either
-/// way the behaviour the subsystem exists for moved, even if throughput
-/// held.
-///
-/// `goodput_utps` gates what overload serving is *for*: completions that
-/// still matter — within their TTFT budget in the ordering cells, per
-/// second of the drain window in the elastic cells.  Raw throughput can
-/// hold while an ordering or scaling change silently converts in-budget
-/// completions into late ones; goodput is the metric that catches it.
-pub const GATED_METRICS: [&str; 11] = [
-    "throughput_utps",
-    "e2e_p99_ms",
-    "peak_kv_blocks",
-    "preemptions",
-    "first_partial_p99_ms",
-    "retraction_rate",
-    "backend_batch_occupancy",
-    "in_flight_depth",
-    "rejected_draft_device_ms",
-    "migrations",
-    "goodput_utps",
-];
+/// Relative difference a non-count value may show and still match its
+/// baseline: rounding noise only.
+pub const EXACT_RELATIVE: f64 = 1e-9;
 
-/// Default relative tolerance band (±15%).
-pub const DEFAULT_TOLERANCE: f64 = 0.15;
-
-/// One gated metric that drifted outside the tolerance band, or a row that
+/// One baseline value the fresh record does not reproduce, or a row that
 /// disappeared from the fresh record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
@@ -85,18 +26,18 @@ pub enum Violation {
         /// The baseline row label.
         label: String,
     },
-    /// The baseline row carries a gated metric the fresh row dropped.
+    /// The baseline row carries a metric the fresh row dropped.
     MissingMetric {
         /// The row label.
         label: String,
-        /// The gated metric name.
+        /// The metric name.
         metric: String,
     },
-    /// A gated metric moved outside the tolerance band.
+    /// A metric moved away from its baseline value.
     Drift {
         /// The row label.
         label: String,
-        /// The gated metric name.
+        /// The metric name.
         metric: String,
         /// The committed baseline value.
         baseline: f64,
@@ -114,7 +55,7 @@ impl std::fmt::Display for Violation {
                 write!(f, "row `{label}` is missing from the fresh record")
             }
             Violation::MissingMetric { label, metric } => {
-                write!(f, "row `{label}` lost gated metric `{metric}`")
+                write!(f, "row `{label}` lost metric `{metric}`")
             }
             Violation::Drift {
                 label,
@@ -124,46 +65,50 @@ impl std::fmt::Display for Violation {
                 relative,
             } => write!(
                 f,
-                "row `{label}` metric `{metric}` drifted {:+.1}% (baseline {baseline:.4}, \
-                 fresh {fresh:.4})",
+                "row `{label}` metric `{metric}` moved {:+.3e}% (baseline {baseline}, fresh \
+                 {fresh})",
                 relative * 100.0
             ),
         }
     }
 }
 
+/// Whether `fresh` reproduces `baseline`: exactly for a count (an integral
+/// baseline value), within [`EXACT_RELATIVE`] for anything else.
+fn reproduces(baseline: f64, fresh: f64) -> bool {
+    if baseline.fract() == 0.0 {
+        fresh == baseline
+    } else {
+        (fresh - baseline).abs() <= EXACT_RELATIVE * baseline.abs()
+    }
+}
+
+/// `(fresh - baseline) / |baseline|`, with a zero baseline scaled by
+/// `f64::EPSILON`.
+fn relative(baseline: f64, fresh: f64) -> f64 {
+    (fresh - baseline) / baseline.abs().max(f64::EPSILON)
+}
+
 /// Compares a fresh record against its committed baseline.
 ///
-/// Every baseline row must still exist, keep its gated metrics, and keep
-/// each gated value within `tolerance` (relative) of the baseline.  Rows or
-/// metrics that only exist in the fresh record are fine — adding coverage is
-/// not a regression.
+/// Every baseline row must still exist, keep every metric, and reproduce
+/// each value (see [`EXACT_RELATIVE`]).  Rows or metrics that only exist in
+/// the fresh record are fine — adding coverage is not a regression.
 ///
 /// # Example
 ///
 /// ```
-/// use specasr_bench::regression::{compare_records, DEFAULT_TOLERANCE};
+/// use specasr_bench::regression::compare_records;
 /// use specasr_metrics::{ExperimentRecord, ReportRow};
 ///
 /// let baseline = ExperimentRecord::new("x", "t")
-///     .with_row(ReportRow::new("a").with("throughput_utps", 10.0));
-/// let fresh = ExperimentRecord::new("x", "t")
 ///     .with_row(ReportRow::new("a").with("throughput_utps", 10.5));
-/// assert!(compare_records(&baseline, &fresh, DEFAULT_TOLERANCE).is_empty());
+/// assert!(compare_records(&baseline, &baseline.clone()).is_empty());
+/// let fresh = ExperimentRecord::new("x", "t")
+///     .with_row(ReportRow::new("a").with("throughput_utps", 10.6));
+/// assert_eq!(compare_records(&baseline, &fresh).len(), 1);
 /// ```
-///
-/// # Panics
-///
-/// Panics if `tolerance` is not finite and non-negative.
-pub fn compare_records(
-    baseline: &ExperimentRecord,
-    fresh: &ExperimentRecord,
-    tolerance: f64,
-) -> Vec<Violation> {
-    assert!(
-        tolerance.is_finite() && tolerance >= 0.0,
-        "tolerance must be finite and non-negative"
-    );
+pub fn compare_records(baseline: &ExperimentRecord, fresh: &ExperimentRecord) -> Vec<Violation> {
     let mut violations = Vec::new();
     for base_row in &baseline.rows {
         let Some(fresh_row) = fresh.row(&base_row.label) else {
@@ -172,69 +117,56 @@ pub fn compare_records(
             });
             continue;
         };
-        for metric in GATED_METRICS {
-            let Some(base_value) = base_row.value(metric) else {
-                continue;
-            };
-            let Some(fresh_value) = fresh_row.value(metric) else {
-                violations.push(Violation::MissingMetric {
+        for (metric, &base_value) in &base_row.values {
+            match fresh_row.value(metric) {
+                None => violations.push(Violation::MissingMetric {
                     label: base_row.label.clone(),
-                    metric: metric.to_owned(),
-                });
-                continue;
-            };
-            let scale = base_value.abs().max(f64::EPSILON);
-            let relative = (fresh_value - base_value) / scale;
-            if relative.abs() > tolerance {
-                violations.push(Violation::Drift {
-                    label: base_row.label.clone(),
-                    metric: metric.to_owned(),
-                    baseline: base_value,
-                    fresh: fresh_value,
-                    relative,
-                });
+                    metric: metric.clone(),
+                }),
+                Some(fresh_value) if !reproduces(base_value, fresh_value) => {
+                    violations.push(Violation::Drift {
+                        label: base_row.label.clone(),
+                        metric: metric.clone(),
+                        baseline: base_value,
+                        fresh: fresh_value,
+                        relative: relative(base_value, fresh_value),
+                    })
+                }
+                Some(_) => {}
             }
         }
     }
     violations
 }
 
-/// Formats the full gated-metric diagnostic table of one breached row:
-/// every gated metric the baseline row carries, with its baseline value,
-/// current value, relative delta, the allowed band, and a per-metric
-/// verdict (`ok` / `DRIFT` / `MISSING`).
+/// Formats the full diagnostic table of one breached row: every metric the
+/// baseline row carries, with its baseline value, current value, relative
+/// delta, and a per-metric verdict (`ok` / `DRIFT` / `MISSING`).
 ///
 /// `bench_check` prints this for each row with at least one violation, so a
 /// gate breach shows the whole row's health at a glance instead of only the
-/// first metric that tripped.  `fresh_row` is `None` when the row vanished
+/// first metric that moved.  `fresh_row` is `None` when the row vanished
 /// from the fresh record entirely.
-pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>, tolerance: f64) -> String {
-    let allowed = format!("\u{b1}{:.1}%", tolerance * 100.0);
+pub fn breach_table(base_row: &ReportRow, fresh_row: Option<&ReportRow>) -> String {
     let mut lines = vec![format!(
-        "{:<26} {:>14} {:>14} {:>9} {:>9}  status",
-        "metric", "baseline", "current", "delta", "allowed"
+        "{:<26} {:>18} {:>18} {:>11}  status",
+        "metric", "baseline", "current", "delta"
     )];
-    for metric in GATED_METRICS {
-        let Some(base_value) = base_row.value(metric) else {
-            continue;
-        };
+    for (metric, &base_value) in &base_row.values {
         match fresh_row.and_then(|row| row.value(metric)) {
             None => lines.push(format!(
-                "{metric:<26} {base_value:>14.4} {:>14} {:>9} {allowed:>9}  MISSING",
+                "{metric:<26} {base_value:>18.6} {:>18} {:>11}  MISSING",
                 "-", "-"
             )),
             Some(fresh_value) => {
-                let scale = base_value.abs().max(f64::EPSILON);
-                let relative = (fresh_value - base_value) / scale;
-                let status = if relative.abs() > tolerance {
-                    "DRIFT"
-                } else {
+                let status = if reproduces(base_value, fresh_value) {
                     "ok"
+                } else {
+                    "DRIFT"
                 };
                 lines.push(format!(
-                    "{metric:<26} {base_value:>14.4} {fresh_value:>14.4} {:>+8.1}% {allowed:>9}  \
-                     {status}",
-                    relative * 100.0
+                    "{metric:<26} {base_value:>18.6} {fresh_value:>18.6} {:>+10.3}%  {status}",
+                    relative(base_value, fresh_value) * 100.0
                 ));
             }
         }
@@ -251,53 +183,68 @@ mod tests {
             ReportRow::new("w1@q10")
                 .with("throughput_utps", throughput)
                 .with("e2e_p99_ms", p99)
-                .with("ungated_metric", 1.0e9),
+                .with("completed", 64.0),
         )
+    }
+
+    /// The violations of a one-row, one-metric record moved from `base` to
+    /// `fresh`.
+    fn moved(metric: &str, base: f64, fresh: f64) -> Vec<Violation> {
+        let row = |value| {
+            ExperimentRecord::new("serve", "t").with_row(ReportRow::new("cell").with(metric, value))
+        };
+        compare_records(&row(base), &row(fresh))
     }
 
     #[test]
     fn identical_records_pass() {
-        let base = record(20.0, 900.0);
-        assert!(compare_records(&base, &base.clone(), DEFAULT_TOLERANCE).is_empty());
+        let base = record(20.5, 900.25);
+        assert!(compare_records(&base, &base.clone()).is_empty());
     }
 
     #[test]
-    fn drift_within_tolerance_passes_and_ungated_metrics_are_ignored() {
-        let base = record(20.0, 900.0);
-        let mut fresh = record(20.0 * 1.14, 900.0 * 0.86);
-        fresh.rows[0].values.insert("ungated_metric".into(), 0.0);
-        assert!(compare_records(&base, &fresh, DEFAULT_TOLERANCE).is_empty());
+    fn rounding_noise_passes_while_counts_match_exactly() {
+        // Float rounding below the exact band is not a change.
+        let base = record(20.5, 900.25);
+        let fresh = record(20.5 * (1.0 + 1e-12), 900.25 * (1.0 - 1e-12));
+        assert!(compare_records(&base, &fresh).is_empty());
+        // A count (integral baseline) allows no slack at all.
+        let violations = moved("completed", 64.0, 64.0 * (1.0 + 1e-12));
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].to_string().contains("completed"));
+        // No column is exempt: any named metric is compared.
+        assert_eq!(moved("some_new_column", 1.25, 1.26).len(), 1);
     }
 
     #[test]
     fn drift_beyond_tolerance_fails_in_both_directions() {
-        let base = record(20.0, 900.0);
-        let slow = record(20.0 * 0.8, 900.0);
-        let violations = compare_records(&base, &slow, DEFAULT_TOLERANCE);
+        let base = record(20.5, 900.25);
+        let slow = record(20.5 * (1.0 - 1e-6), 900.25);
+        let violations = compare_records(&base, &slow);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("throughput_utps"));
-        assert!(violations[0].to_string().contains("-20.0%"));
+        assert!(violations[0].to_string().contains("-1.000e-4%"));
 
-        let spiky = record(20.0, 900.0 * 1.3);
-        let violations = compare_records(&base, &spiky, DEFAULT_TOLERANCE);
+        let spiky = record(20.5, 900.25 * (1.0 + 1e-6));
+        let violations = compare_records(&base, &spiky);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].to_string().contains("e2e_p99_ms"));
     }
 
     #[test]
     fn missing_rows_and_metrics_are_violations() {
-        let base = record(20.0, 900.0);
+        let base = record(20.5, 900.25);
         let empty = ExperimentRecord::new("serve", "t");
         assert_eq!(
-            compare_records(&base, &empty, DEFAULT_TOLERANCE),
+            compare_records(&base, &empty),
             vec![Violation::MissingRow {
                 label: "w1@q10".into()
             }]
         );
 
-        let mut gutted = record(20.0, 900.0);
+        let mut gutted = record(20.5, 900.25);
         gutted.rows[0].values.remove("e2e_p99_ms");
-        let violations = compare_records(&base, &gutted, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &gutted);
         assert_eq!(
             violations,
             vec![Violation::MissingMetric {
@@ -309,34 +256,31 @@ mod tests {
 
     #[test]
     fn breach_table_reports_every_gated_metric_with_verdicts() {
-        let base = record(20.0, 900.0);
-        let fresh = record(20.0 * 0.8, 900.0 * 1.05);
-        let table = breach_table(&base.rows[0], fresh.row("w1@q10"), DEFAULT_TOLERANCE);
+        let base = record(20.5, 900.25);
+        let fresh = record(20.5 * 0.8, 900.25);
+        let table = breach_table(&base.rows[0], fresh.row("w1@q10"));
         let lines: Vec<&str> = table.lines().collect();
-        // Header + the two gated metrics the row carries; the ungated
-        // metric never appears.
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("baseline") && lines[0].contains("allowed"));
-        assert!(lines[1].contains("throughput_utps"));
-        assert!(lines[1].contains("-20.0%"));
-        assert!(lines[1].ends_with("DRIFT"));
-        assert!(lines[2].contains("e2e_p99_ms"));
-        assert!(lines[2].contains("+5.0%"));
-        assert!(lines[2].ends_with("ok"));
-        assert!(!table.contains("ungated_metric"));
+        // Header + every metric the row carries, in column order.
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("baseline") && lines[0].contains("delta"));
+        assert!(lines[1].contains("completed") && lines[1].ends_with("ok"));
+        assert!(lines[2].contains("e2e_p99_ms") && lines[2].ends_with("ok"));
+        assert!(lines[3].contains("throughput_utps"));
+        assert!(lines[3].contains("-20.000%"));
+        assert!(lines[3].ends_with("DRIFT"));
     }
 
     #[test]
     fn breach_table_marks_missing_metrics_and_rows() {
-        let base = record(20.0, 900.0);
-        let mut gutted = record(20.0, 900.0);
+        let base = record(20.5, 900.25);
+        let mut gutted = record(20.5, 900.25);
         gutted.rows[0].values.remove("e2e_p99_ms");
-        let table = breach_table(&base.rows[0], gutted.row("w1@q10"), DEFAULT_TOLERANCE);
+        let table = breach_table(&base.rows[0], gutted.row("w1@q10"));
         assert!(table
             .lines()
             .any(|l| l.contains("e2e_p99_ms") && l.ends_with("MISSING")));
 
-        let vanished = breach_table(&base.rows[0], None, DEFAULT_TOLERANCE);
+        let vanished = breach_table(&base.rows[0], None);
         assert!(vanished
             .lines()
             .skip(1)
@@ -345,98 +289,27 @@ mod tests {
 
     #[test]
     fn memory_metrics_are_gated_when_present() {
-        let base = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("w2@q50-kv64")
-                .with("peak_kv_blocks", 120.0)
-                .with("preemptions", 0.0),
-        );
-        // Within band on occupancy, still zero preemptions: pass.
-        let fresh = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("w2@q50-kv64")
-                .with("peak_kv_blocks", 130.0)
-                .with("preemptions", 0.0),
-        );
-        assert!(compare_records(&base, &fresh, DEFAULT_TOLERANCE).is_empty());
-
-        // Peak occupancy drift beyond the band fails.
-        let bloated = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("w2@q50-kv64")
-                .with("peak_kv_blocks", 160.0)
-                .with("preemptions", 0.0),
-        );
-        let violations = compare_records(&base, &bloated, DEFAULT_TOLERANCE);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].to_string().contains("peak_kv_blocks"));
-
-        // A zero-preemption baseline must stay at zero: one fresh
-        // preemption is an unbounded relative drift.
-        let preempting = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("w2@q50-kv64")
-                .with("peak_kv_blocks", 120.0)
-                .with("preemptions", 1.0),
-        );
-        let violations = compare_records(&base, &preempting, DEFAULT_TOLERANCE);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].to_string().contains("preemptions"));
+        // A silent growth in peak occupancy is a memory regression even
+        // when throughput holds, and a zero-preemption baseline must stay
+        // at zero.
+        assert_eq!(moved("peak_kv_blocks", 120.0, 121.0).len(), 1);
+        assert_eq!(moved("preemptions", 0.0, 1.0).len(), 1);
+        assert!(moved("preemptions", 0.0, 0.0).is_empty());
     }
 
     #[test]
     fn streaming_metrics_are_gated_when_present() {
-        let base = ExperimentRecord::new("serve_streaming", "t").with_row(
-            ReportRow::new("adaptive-c300ms-b8")
-                .with("first_partial_p99_ms", 400.0)
-                .with("retraction_rate", 0.10),
-        );
-        let fresh_ok = ExperimentRecord::new("serve_streaming", "t").with_row(
-            ReportRow::new("adaptive-c300ms-b8")
-                .with("first_partial_p99_ms", 430.0)
-                .with("retraction_rate", 0.11),
-        );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
-
-        // A commit rule that makes partials flickier fails the gate even
-        // when latency holds.
-        let flicky = ExperimentRecord::new("serve_streaming", "t").with_row(
-            ReportRow::new("adaptive-c300ms-b8")
-                .with("first_partial_p99_ms", 400.0)
-                .with("retraction_rate", 0.20),
-        );
-        let violations = compare_records(&base, &flicky, DEFAULT_TOLERANCE);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].to_string().contains("retraction_rate"));
-
-        let slow = ExperimentRecord::new("serve_streaming", "t").with_row(
-            ReportRow::new("adaptive-c300ms-b8")
-                .with("first_partial_p99_ms", 600.0)
-                .with("retraction_rate", 0.10),
-        );
-        let violations = compare_records(&base, &slow, DEFAULT_TOLERANCE);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].to_string().contains("first_partial_p99_ms"));
+        // A commit rule that makes partials flickier moves the retraction
+        // rate even when first-partial latency holds.
+        assert_eq!(moved("retraction_rate", 0.10, 0.1001).len(), 1);
+        assert_eq!(moved("first_partial_p99_ms", 400.5, 400.6).len(), 1);
     }
 
     #[test]
     fn backend_occupancy_is_gated_when_present() {
-        let base = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("specasr-asp@c8")
-                .with("throughput_utps", 25.0)
-                .with("backend_batch_occupancy", 8.0),
-        );
-        let fresh_ok = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("specasr-asp@c8")
-                .with("throughput_utps", 25.0)
-                .with("backend_batch_occupancy", 7.5),
-        );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
-
-        // A scheduler that quietly stops batching verification across
-        // sessions fails the gate even when throughput holds.
-        let unbatched = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("specasr-asp@c8")
-                .with("throughput_utps", 25.0)
-                .with("backend_batch_occupancy", 1.0),
-        );
-        let violations = compare_records(&base, &unbatched, DEFAULT_TOLERANCE);
+        // A scheduler that groups verification differently moves the mean
+        // requests per backend batch even when throughput holds.
+        let violations = moved("backend_batch_occupancy", 3.8068, 3.9645);
         assert_eq!(violations.len(), 1);
         assert!(violations[0]
             .to_string()
@@ -445,26 +318,7 @@ mod tests {
 
     #[test]
     fn rejected_draft_waste_is_gated_when_present() {
-        let base = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("specasr-asp@c8")
-                .with("throughput_utps", 25.0)
-                .with("rejected_draft_device_ms", 40.0),
-        );
-        let fresh_ok = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("specasr-asp@c8")
-                .with("throughput_utps", 25.0)
-                .with("rejected_draft_device_ms", 43.0),
-        );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
-
-        // A drafter change that burns more device time on rejected drafts
-        // fails the gate even when throughput holds.
-        let wasteful = ExperimentRecord::new("serve", "t").with_row(
-            ReportRow::new("specasr-asp@c8")
-                .with("throughput_utps", 25.0)
-                .with("rejected_draft_device_ms", 60.0),
-        );
-        let violations = compare_records(&base, &wasteful, DEFAULT_TOLERANCE);
+        let violations = moved("rejected_draft_device_ms", 40.25, 40.5);
         assert_eq!(violations.len(), 1);
         assert!(violations[0]
             .to_string()
@@ -475,28 +329,20 @@ mod tests {
     fn migrations_and_goodput_are_gated_when_present() {
         let base = ExperimentRecord::new("serve_elastic", "t").with_row(
             ReportRow::new("drain-migrate@q60")
-                .with("throughput_utps", 55.0)
+                .with("throughput_utps", 55.25)
                 .with("migrations", 8.0)
-                .with("goodput_utps", 55.0),
+                .with("goodput_utps", 55.25),
         );
-        let fresh_ok = ExperimentRecord::new("serve_elastic", "t").with_row(
-            ReportRow::new("drain-migrate@q60")
-                .with("throughput_utps", 55.0)
-                .with("migrations", 8.0)
-                .with("goodput_utps", 54.0),
-        );
-        assert!(compare_records(&base, &fresh_ok, DEFAULT_TOLERANCE).is_empty());
-
-        // A drain that silently stops migrating live sessions fails the
-        // gate even when throughput holds, and so does a scaling change
-        // that converts in-budget completions into late ones.
+        // A drain that migrates one session fewer fails the gate even when
+        // throughput holds, and so does a scaling change that converts
+        // in-budget completions into late ones.
         let degraded = ExperimentRecord::new("serve_elastic", "t").with_row(
             ReportRow::new("drain-migrate@q60")
-                .with("throughput_utps", 55.0)
-                .with("migrations", 0.0)
-                .with("goodput_utps", 30.0),
+                .with("throughput_utps", 55.25)
+                .with("migrations", 7.0)
+                .with("goodput_utps", 55.0),
         );
-        let violations = compare_records(&base, &degraded, DEFAULT_TOLERANCE);
+        let violations = compare_records(&base, &degraded);
         assert_eq!(violations.len(), 2);
         let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         assert!(rendered.iter().any(|line| line.contains("migrations")));
@@ -505,15 +351,9 @@ mod tests {
 
     #[test]
     fn extra_fresh_rows_are_not_violations() {
-        let base = record(20.0, 900.0);
-        let fresh = record(20.0, 900.0)
+        let base = record(20.5, 900.25);
+        let fresh = record(20.5, 900.25)
             .with_row(ReportRow::new("brand-new-cell").with("throughput_utps", 1.0));
-        assert!(compare_records(&base, &fresh, DEFAULT_TOLERANCE).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn negative_tolerance_panics() {
-        compare_records(&record(1.0, 1.0), &record(1.0, 1.0), -0.1);
+        assert!(compare_records(&base, &fresh).is_empty());
     }
 }

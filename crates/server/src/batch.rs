@@ -74,90 +74,50 @@ pub fn grouped_verify_ms(target: &LatencyModel, verify_widths: &[usize]) -> f64 
 
 /// One tick's verification schedule against an in-flight target backend:
 /// which sessions verify in which cross-session batch (wave), when each
-/// wave is submitted, and the modeled makespan of the whole tick.
+/// wave is submitted, and the modeled completion of the last wave.
 ///
 /// Produced by [`plan_verify_waves`]; the scheduler submits each wave as one
-/// [`specasr_models::BackendBatch`] at `tick_start + submit_offsets_ms[w]`
-/// and advances its wall clock to the last completion.
+/// [`specasr_models::BackendBatch`] at `submit_at_ms[w]` (later if its
+/// in-flight window is full) and advances its wall clock to the last
+/// completion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyPlan {
     /// Session indices per wave, in draft-completion order (ties broken by
     /// index, so the schedule is deterministic).
     pub waves: Vec<Vec<usize>>,
-    /// Submission offset of each wave relative to the tick start — the
-    /// moment its slowest member finished drafting.
-    pub submit_offsets_ms: Vec<f64>,
-    /// Modeled completion of the last wave, relative to the tick start.
+    /// Submission time of each wave — the moment its slowest member
+    /// finished drafting.
+    pub submit_at_ms: Vec<f64>,
+    /// Modeled completion of the last wave.
     pub makespan_ms: f64,
 }
 
-/// Plans the tick's verification waves against a serialised device with
-/// per-batch `dispatch_overhead_ms` (the [`specasr_models::InFlightSimBackend`]
-/// timeline model).
-///
-/// The historical schedule — wait for the slowest draft, then one grouped
-/// verification pass over everyone — is always a candidate.  The overlap
-/// alternative splits the sessions (ordered by draft-completion time) into
-/// two waves: the early finishers' verification batch is submitted as soon
-/// as *their* slowest draft lands, so its service time executes in flight
-/// while the straggling draft phases are still running, and only the
-/// stragglers' (smaller) batch remains on the critical path.  The split is
-/// chosen per tick by evaluating the modeled makespan of every cut point
-/// and keeping the single grouped batch unless a split is strictly faster —
-/// so the plan never costs more wall-clock than the historical schedule,
-/// and wins exactly when one session's long adaptive draft phase used to
-/// stall everyone else's verification (the `serve_load` bottleneck at high
-/// concurrency).
-///
-/// This is the two-wave, fresh-device specialisation of
-/// [`plan_verify_waves_pipelined`], retained as the drain-per-tick
-/// scheduler's planner (`max_in_flight_waves = 1`); the pipelined scheduler
-/// calls the N-wave form with absolute draft-completion times and the
-/// device backlog carried over from previous ticks.
-///
-/// # Panics
-///
-/// Panics if `draft_ms` and `verify_widths` differ in length.
-pub fn plan_verify_waves(
-    draft_ms: &[f64],
-    verify_widths: &[usize],
-    target: &LatencyModel,
-    dispatch_overhead_ms: f64,
-) -> VerifyPlan {
-    plan_verify_waves_pipelined(
-        draft_ms,
-        verify_widths,
-        target,
-        dispatch_overhead_ms,
-        2,
-        0.0,
-    )
-}
-
 /// Plans up to `max_waves` verification waves over sessions whose draft
-/// phases complete at `draft_done_ms` (any shared reference frame: the
-/// drain-per-tick scheduler passes tick-relative durations, the pipelined
-/// scheduler passes absolute wall times), against a serialised device that
-/// is busy until `device_free_ms` with work from previous ticks.
+/// phases complete at `draft_done_ms`, against a serialised device with
+/// per-batch `dispatch_overhead_ms` (the
+/// [`specasr_models::InFlightSimBackend`] timeline model) that is busy
+/// until `device_free_ms` with work from previous ticks.
 ///
 /// Sessions are ordered by draft completion (ties by index) and partitioned
 /// into contiguous cohorts; each cohort's batch is submitted the moment its
 /// slowest member finishes drafting, pays `dispatch_overhead_ms`, then
-/// queues behind both the device backlog and every earlier wave.  The
-/// partition is chosen by a dynamic program minimising the modeled
-/// completion of the last wave: minimising each prefix's completion is
-/// optimal because a later wave's start is monotone in it.  Fewer waves are
-/// preferred whenever splitting is not strictly faster (an extra wave pays
-/// the pass base cost again), so the single grouped batch remains the plan
-/// whenever overlap cannot win.
+/// queues behind both the device backlog and every earlier wave.  An early
+/// cohort's verification thus executes in flight while straggling draft
+/// phases still run, and only the stragglers' (smaller) batch remains on
+/// the critical path.  The partition is chosen by a dynamic program
+/// minimising the modeled completion of the last wave: minimising each
+/// prefix's completion is optimal because a later wave's start is monotone
+/// in it.  Fewer waves are preferred whenever splitting is not strictly
+/// faster (an extra wave pays the pass base cost again), so the single
+/// grouped batch remains the plan whenever overlap cannot win.
 ///
-/// `submit_offsets_ms` and `makespan_ms` come back in the caller's
-/// reference frame.
+/// `submit_at_ms` and `makespan_ms` come back in the reference frame of
+/// `draft_done_ms` and `device_free_ms` (the scheduler passes wall times).
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths differ or `max_waves` is zero.
-pub fn plan_verify_waves_pipelined(
+pub fn plan_verify_waves(
     draft_done_ms: &[f64],
     verify_widths: &[usize],
     target: &LatencyModel,
@@ -175,7 +135,7 @@ pub fn plan_verify_waves_pipelined(
     if n == 0 {
         return VerifyPlan {
             waves: Vec::new(),
-            submit_offsets_ms: Vec::new(),
+            submit_at_ms: Vec::new(),
             makespan_ms: 0.0,
         };
     }
@@ -236,15 +196,15 @@ pub fn plan_verify_waves_pipelined(
     bounds.push(0);
     bounds.reverse();
     let mut waves = Vec::with_capacity(best_w + 1);
-    let mut submit_offsets_ms = Vec::with_capacity(best_w + 1);
+    let mut submit_at_ms = Vec::with_capacity(best_w + 1);
     for pair in bounds.windows(2) {
         let (from, to) = (pair[0], pair[1]);
-        submit_offsets_ms.push(draft_done_ms[order[to - 1]]);
+        submit_at_ms.push(draft_done_ms[order[to - 1]]);
         waves.push(order[from..to].to_vec());
     }
     VerifyPlan {
         waves,
-        submit_offsets_ms,
+        submit_at_ms,
         makespan_ms: dp[best_w][n],
     }
 }
@@ -299,10 +259,10 @@ mod tests {
     fn uniform_drafts_plan_one_grouped_batch() {
         // With no straggler there is nothing to overlap: splitting would pay
         // the pass base cost twice for no gain.
-        let plan = plan_verify_waves(&[5.0, 5.0, 5.0], &[8, 8, 8], &target(), 0.0);
+        let plan = plan_verify_waves(&[5.0, 5.0, 5.0], &[8, 8, 8], &target(), 0.0, 2, 0.0);
         assert_eq!(plan.waves.len(), 1);
         assert_eq!(plan.waves[0].len(), 3);
-        assert!((plan.submit_offsets_ms[0] - 5.0).abs() < 1e-12);
+        assert!((plan.submit_at_ms[0] - 5.0).abs() < 1e-12);
         let analytic = TickCost::of_round(&[5.0, 5.0, 5.0], &[8, 8, 8], &target());
         assert!((plan.makespan_ms - analytic.wall_ms).abs() < 1e-12);
     }
@@ -315,12 +275,12 @@ mod tests {
         // path.
         let draft_ms = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves(&draft_ms, &widths, &target(), 0.0);
+        let plan = plan_verify_waves(&draft_ms, &widths, &target(), 0.0, 2, 0.0);
         assert_eq!(plan.waves.len(), 2);
         assert_eq!(plan.waves[0], vec![0, 1, 3]);
         assert_eq!(plan.waves[1], vec![2]);
-        assert!((plan.submit_offsets_ms[0] - 3.0).abs() < 1e-12);
-        assert!((plan.submit_offsets_ms[1] - 100.0).abs() < 1e-12);
+        assert!((plan.submit_at_ms[0] - 3.0).abs() < 1e-12);
+        assert!((plan.submit_at_ms[1] - 100.0).abs() < 1e-12);
         // Makespan: straggler draft + its own verification pass.
         assert!((plan.makespan_ms - (100.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
         let analytic = TickCost::of_round(&draft_ms, &widths, &target());
@@ -340,7 +300,7 @@ mod tests {
         ];
         for (draft_ms, widths) in cases {
             for overhead in [0.0, 2.5] {
-                let plan = plan_verify_waves(draft_ms, widths, &target(), overhead);
+                let plan = plan_verify_waves(draft_ms, widths, &target(), overhead, 2, 0.0);
                 let d_max = draft_ms.iter().copied().fold(0.0f64, f64::max);
                 let single = d_max + overhead + grouped_verify_ms(&target(), widths);
                 assert!(plan.makespan_ms <= single + 1e-9);
@@ -357,14 +317,14 @@ mod tests {
         // far smaller than an extra pass base cost (20 ms): splitting would
         // push the early wave's completion past the straggler and pay the
         // base twice, so the plan must keep one grouped batch.
-        let plan = plan_verify_waves(&[1.0, 1.0, 5.0], &[8, 8, 8], &target(), 0.0);
+        let plan = plan_verify_waves(&[1.0, 1.0, 5.0], &[8, 8, 8], &target(), 0.0, 2, 0.0);
         assert_eq!(plan.waves.len(), 1);
         assert!((plan.makespan_ms - (5.0 + 20.0 + 0.5 * 24.0)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_ticks_plan_nothing() {
-        let plan = plan_verify_waves(&[], &[], &target(), 0.0);
+        let plan = plan_verify_waves(&[], &[], &target(), 0.0, 2, 0.0);
         assert!(plan.waves.is_empty());
         assert_eq!(plan.makespan_ms, 0.0);
     }
@@ -373,19 +333,19 @@ mod tests {
     fn three_stragglers_earn_three_waves() {
         // Draft completions spaced far wider than a pass base cost: each
         // cohort's verification hides completely under the next straggler's
-        // draft, so the N-wave planner splits three ways where the two-wave
-        // planner had to group the first two cohorts.
+        // draft, so a four-wave cap splits three ways where a two-wave cap
+        // has to group the first two cohorts.
         let done = [3.0, 3.0, 100.0, 140.0];
         let widths = [40usize, 40, 40, 8];
-        let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 4, 0.0);
+        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 4, 0.0);
         assert_eq!(plan.waves.len(), 3);
         assert_eq!(plan.waves[0], vec![0, 1]);
         assert_eq!(plan.waves[1], vec![2]);
         assert_eq!(plan.waves[2], vec![3]);
-        assert_eq!(plan.submit_offsets_ms, vec![3.0, 100.0, 140.0]);
+        assert_eq!(plan.submit_at_ms, vec![3.0, 100.0, 140.0]);
         // Only the last straggler's own pass remains on the critical path.
         assert!((plan.makespan_ms - (140.0 + 20.0 + 0.5 * 8.0)).abs() < 1e-12);
-        let two = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 2, 0.0);
+        let two = plan_verify_waves(&done, &widths, &target(), 0.0, 2, 0.0);
         assert!(plan.makespan_ms < two.makespan_ms - 1.0);
     }
 
@@ -393,7 +353,7 @@ mod tests {
     fn a_single_wave_cap_forces_the_grouped_batch() {
         let done = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 1, 0.0);
+        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 1, 0.0);
         assert_eq!(plan.waves.len(), 1);
         assert!((plan.makespan_ms - (100.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
     }
@@ -405,27 +365,9 @@ mod tests {
         // makespan is backlog + one grouped pass.
         let done = [3.0, 3.0, 100.0, 3.0];
         let widths = [8usize, 8, 8, 8];
-        let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 0.0, 4, 500.0);
+        let plan = plan_verify_waves(&done, &widths, &target(), 0.0, 4, 500.0);
         assert_eq!(plan.waves.len(), 1);
         assert!((plan.makespan_ms - (500.0 + 20.0 + 0.5 * 32.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn the_two_wave_cap_reproduces_the_legacy_planner() {
-        let cases: [(&[f64], &[usize]); 4] = [
-            (&[1.0], &[4]),
-            (&[10.0, 12.0], &[8, 2]),
-            (&[1.0, 2.0, 3.0, 50.0, 4.0], &[8, 8, 8, 8, 8]),
-            (&[0.0, 0.0, 90.0], &[24, 1, 3]),
-        ];
-        for (done, widths) in cases {
-            for overhead in [0.0, 2.5] {
-                let legacy = plan_verify_waves(done, widths, &target(), overhead);
-                let general =
-                    plan_verify_waves_pipelined(done, widths, &target(), overhead, 2, 0.0);
-                assert_eq!(legacy, general);
-            }
-        }
     }
 
     #[test]
@@ -434,7 +376,7 @@ mod tests {
         let widths = [8usize, 4, 8, 2, 8, 1];
         let mut previous = f64::INFINITY;
         for cap in 1..=6 {
-            let plan = plan_verify_waves_pipelined(&done, &widths, &target(), 1.5, cap, 10.0);
+            let plan = plan_verify_waves(&done, &widths, &target(), 1.5, cap, 10.0);
             assert!(plan.makespan_ms <= previous + 1e-9);
             assert!(plan.waves.len() <= cap);
             let scheduled: usize = plan.waves.iter().map(Vec::len).sum();

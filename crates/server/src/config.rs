@@ -92,15 +92,16 @@ pub struct ServerConfig {
     pub block_size: usize,
     /// Eviction policy when the KV pool is exhausted mid-decode.
     pub preempt_policy: PreemptPolicy,
-    /// Verification-wave pipeline depth.  `1` is the classic drain-per-tick
-    /// schedule: every wave of a tick is submitted and drained before the
-    /// next tick begins.  `2` or more turns the tick submit-ahead /
-    /// complete-behind: the wave planner may split a tick into up to this
-    /// many waves, each session's next draft phase starts at its *own* wave's
-    /// completion (not the tick's), and at most this many verification waves
-    /// may be outstanding on the device at any submission instant.
-    /// Transcripts are byte-identical at every depth — only the timeline
-    /// compresses.
+    /// Verification-wave pipeline depth: the in-flight window.  At most this
+    /// many verification waves may be outstanding on the device at any
+    /// submission instant; a wave submitted into a full window waits for the
+    /// oldest to complete.  A tick plans up to `max_in_flight_waves.max(2)`
+    /// waves, and each session's next draft phase starts at its *own* wave's
+    /// completion (not the tick's).  At depth `1` a tick's second wave
+    /// therefore submits behind its first, which still overlaps the first
+    /// wave with straggler drafts; deeper windows also overlap waves with
+    /// each other and with the next tick's drafts.  Transcripts are
+    /// byte-identical at every depth — only the timeline compresses.
     pub max_in_flight_waves: usize,
     /// Modeled draft-device lanes.  `0` leaves per-session draft chains
     /// unconstrained (a pool of draft-sized accelerators, the historical
@@ -163,8 +164,7 @@ impl ServerConfig {
     }
 
     /// Returns this configuration with a different verification-wave
-    /// pipeline depth (`1` = drain-per-tick, `n ≥ 2` = pipelined with at
-    /// most `n` waves in flight).
+    /// pipeline depth (at most `n` waves in flight).
     pub fn with_max_in_flight_waves(mut self, max_in_flight_waves: usize) -> Self {
         self.max_in_flight_waves = max_in_flight_waves;
         self
@@ -485,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn the_default_schedule_is_drain_per_tick() {
+    fn the_default_window_holds_one_wave_with_unbounded_lanes() {
         let config = ServerConfig::default();
         assert_eq!(config.max_in_flight_waves, 1);
         assert_eq!(config.draft_lanes, 0);

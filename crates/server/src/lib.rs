@@ -89,9 +89,7 @@ mod session;
 mod stats;
 mod worker;
 
-pub use batch::{
-    grouped_verify_ms, plan_verify_waves, plan_verify_waves_pipelined, TickCost, VerifyPlan,
-};
+pub use batch::{grouped_verify_ms, plan_verify_waves, TickCost, VerifyPlan};
 pub use config::{
     AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RouterConfig, ServerConfig, WorkerProfile,
 };

@@ -16,7 +16,7 @@ use specasr_runtime::KvPool;
 use specasr_stream::{StreamConfig, StreamingSession};
 use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer};
 
-use crate::batch::{plan_verify_waves, plan_verify_waves_pipelined, TickCost};
+use crate::batch::{plan_verify_waves, TickCost};
 use crate::config::{AdmissionOrdering, AdmissionPolicy, PreemptPolicy, ServerConfig};
 use crate::request::{
     PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError,
@@ -49,8 +49,8 @@ impl<T: AsrDecoderModel> VerifyBackend<T> {
         }
     }
 
-    /// The wall time the device backlog drains (the pipelined wave
-    /// planner's cross-tick carry).
+    /// The wall time the device backlog drains (the wave planner's
+    /// cross-tick carry).
     pub fn device_free_ms(&self) -> f64 {
         match self {
             VerifyBackend::Sim(backend) => backend.device_free_ms(),
@@ -114,6 +114,36 @@ impl<T: AsrDecoderModel> AsrBackend for VerifyBackend<T> {
     }
 }
 
+/// One tick's work, handed from phase to phase of [`Scheduler::tick`].
+/// Per-session vectors are indexed like `Scheduler::active`, which no phase
+/// reorders before retirement.
+struct TickWork {
+    /// The tick's sequence number in the flight recorder.
+    tick: u64,
+    /// Wall time the tick began.
+    start_ms: f64,
+    /// Completion of the tick's last wave (at least the tick start).
+    end_ms: f64,
+    /// Each session's drafted round, until the commit phase takes it.
+    drafted: Vec<Option<specasr::DraftedRound>>,
+    /// Each session's draft-phase device time.
+    spent_ms: Vec<f64>,
+    /// Wall time each session's draft phase finished.
+    draft_done_ms: Vec<f64>,
+    /// Token width each session's verification is billed for.
+    verify_widths: Vec<usize>,
+    /// The wave each session verifies in.
+    wave_of: Vec<usize>,
+    /// Billed width of each wave (its backend batch's `charge_tokens`).
+    wave_charges: Vec<u64>,
+    /// Completion of each wave (at least the tick start).
+    wave_completed_ms: Vec<f64>,
+    /// `(ticket, session, wave)` of every submitted verification.
+    tickets: Vec<(Ticket, usize, usize)>,
+    /// Each session's verification completion, until committed.
+    results: Vec<Option<ForwardResult>>,
+}
+
 /// How one in-flight session leaves (or stays in) the batch at tick end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Removal {
@@ -132,8 +162,8 @@ enum Removal {
 /// [`Scheduler::tick`] admits queued requests into free batch slots
 /// (iteration-level scheduling — finished sessions free their slots without
 /// waiting for the batch to drain), runs each active session's draft phase,
-/// verifies all drafted material in one grouped target pass, and retires the
-/// sessions that reached EOS.
+/// verifies the drafted material in grouped cross-session target passes
+/// (waves), and retires the sessions that reached EOS.
 ///
 /// Time is simulated: the scheduler advances a wall clock by each tick's
 /// batched cost (see [`crate::batch::TickCost`]), which makes every
@@ -734,111 +764,108 @@ where
         self.stats.record_migration(handoff);
     }
 
-    /// Runs one scheduler iteration: deliver due stream chunks → admit →
-    /// draft → grouped verify (with KV-pool preemption when memory runs
-    /// out) → retire / emit partials.
+    /// Runs one scheduler iteration as a sequence of phases: deliver due
+    /// stream chunks and admit → draft → plan and submit verification waves
+    /// → complete them → commit (with KV-pool preemption when memory runs
+    /// out) → publish gauges → retire / emit partials.
     ///
     /// Returns the requests that finished this tick, in retirement order.
     pub fn tick(&mut self) -> Vec<RequestOutcome> {
+        self.deliver_due_chunks();
+        self.admit();
+        if self.active.is_empty() {
+            return Vec::new();
+        }
+        let mut work = self.draft_phase();
+        self.plan_and_submit(&mut work);
+        self.complete_waves(&mut work);
+        let removal = self.commit_rounds(&mut work);
+        self.publish_gauges(work.end_ms);
+        self.retire_sessions(removal, &work)
+    }
+
+    /// Delivers due chunks into parked streams.  With nothing decodable but
+    /// streams parked between chunks, the only next event is a chunk
+    /// arrival: the wall clock fast-forwards to it (a real server would
+    /// sleep here).
+    fn deliver_due_chunks(&mut self) {
         self.release_due_streams();
-        // With nothing decodable but streams parked between chunks, the only
-        // next event is a chunk arrival: fast-forward the wall clock to it
-        // (a real server would sleep here).
         if self.active.is_empty() && self.queue.is_empty() && !self.waiting.is_empty() {
             if let Some(next) = self.next_chunk_arrival_ms() {
                 self.wall_ms = self.wall_ms.max(next);
                 self.release_due_streams();
             }
         }
-        self.admit();
-        if self.active.is_empty() {
-            return Vec::new();
-        }
+    }
 
-        // Draft phase: every active session speculates its next round
-        // through the draft backend (each draft query is a single-probe
-        // `ForwardRequest` submit + complete).  The per-session draft device
-        // time is read off the session clock delta; sessions draft in
-        // parallel on the accelerator.
-        let tick_start = self.wall_ms;
+    /// Opens the tick and runs every active session's draft round, starting
+    /// at the session's own readiness: the completion of its previous
+    /// verification wave, which can precede the tick start.  That head start
+    /// is the cross-tick overlap — the next round's draft work runs while
+    /// the previous tick's later waves still drain on the device.
+    fn draft_phase(&mut self) -> TickWork {
+        let start_ms = self.wall_ms;
         self.ticks_seen += 1;
         let tick = self.ticks_seen;
-        {
-            let active = self.active.len() as u64;
-            let queued = self.queue.len() as u64;
-            self.tracer.record_with(|| TraceEvent::TickStart {
-                ts_ms: tick_start,
-                tick,
-                active,
-                queued,
-            });
-        }
-        // Pipelined scheduling (`max_in_flight_waves ≥ 2`) starts each
-        // session's draft phase at its *own* readiness — the completion of
-        // its previous verification wave, which can precede this tick's
-        // start.  That head start is the cross-tick overlap: the next
-        // round's draft work runs while the previous tick's later waves are
-        // still draining on the device.  Depth 1 is the classic
-        // drain-per-tick schedule (everything starts at `tick_start`).
-        let pipeline_depth = self.config.max_in_flight_waves;
-        let pipelined = pipeline_depth > 1;
+        let (active, queued) = (self.active.len() as u64, self.queue.len() as u64);
+        self.tracer.record_with(|| TraceEvent::TickStart {
+            ts_ms: start_ms,
+            tick,
+            active,
+            queued,
+        });
         let sessions = self.active.len();
-        let ready: Vec<f64> = self
-            .active
-            .iter()
-            .map(|session| {
-                if pipelined {
-                    session.ready_ms
-                } else {
-                    tick_start
-                }
-            })
-            .collect();
+        let mut work = TickWork {
+            tick,
+            start_ms,
+            end_ms: start_ms,
+            drafted: (0..sessions).map(|_| None).collect(),
+            spent_ms: vec![0.0; sessions],
+            draft_done_ms: vec![0.0; sessions],
+            verify_widths: vec![0; sessions],
+            wave_of: vec![0; sessions],
+            wave_charges: Vec::new(),
+            wave_completed_ms: Vec::new(),
+            tickets: Vec::with_capacity(sessions),
+            results: (0..sessions).map(|_| None).collect(),
+        };
         // Draft rounds reserve modeled draft-device time in readiness order
         // (ties by batch index), so lane contention under a bounded
         // `draft_lanes` budget is deterministic.
         let mut order: Vec<usize> = (0..sessions).collect();
         order.sort_by(|&a, &b| {
-            ready[a]
-                .partial_cmp(&ready[b])
+            self.active[a]
+                .ready_ms
+                .partial_cmp(&self.active[b].ready_ms)
                 .expect("wall clocks are finite")
                 .then(a.cmp(&b))
         });
-        let mut drafted: Vec<Option<specasr::DraftedRound>> = (0..sessions).map(|_| None).collect();
-        let mut spent_ms = vec![0.0; sessions];
-        let mut draft_done = vec![0.0; sessions];
-        let mut verify_widths = vec![0usize; sessions];
-        for &index in &order {
-            let session = &mut self.active[index];
-            let before = session.decode.clock().breakdown().draft_ms;
+        for index in order {
             // Model-draft sessions run their draft chains through the draft
             // backend; draft-free sessions dispatch to the installed drafter
             // (no backend batches, no draft latency charged — their `spent`
             // stays 0.0 and the verify planner sorts them first).
-            let round = match session.decode.drafter() {
-                DrafterKind::ModelDraft => session.decode.draft_round_via(
-                    &mut self.draft,
-                    &self.draft_profile,
-                    ready[index],
-                ),
-                kind => {
-                    let drafter = self
-                        .drafters
-                        .iter()
-                        .find(|(k, _)| *k == kind)
-                        .map(|(_, drafter)| drafter)
-                        .expect("draft-free sessions are only admitted with an installed drafter");
-                    session.decode.draft_round(drafter.as_ref())
-                }
+            let drafter = match self.active[index].decode.drafter() {
+                DrafterKind::ModelDraft => None,
+                kind => self.drafter_for(kind).cloned(),
+            };
+            let session = &mut self.active[index];
+            let ready = session.ready_ms;
+            let before = session.decode.clock().breakdown().draft_ms;
+            let round = match drafter {
+                None => session
+                    .decode
+                    .draft_round_via(&mut self.draft, &self.draft_profile, ready),
+                Some(drafter) => session.decode.draft_round(drafter.as_ref()),
             };
             let spent = session.decode.clock().breakdown().draft_ms - before;
             // Draft rounds occupy the modeled draft device; with bounded
             // lanes a round queues behind earlier rounds, pushing its
             // verify submission later exactly like contended hardware.
             let (draft_start, done) = if spent > 0.0 {
-                self.draft_timeline.occupy(ready[index], spent)
+                self.draft_timeline.occupy(ready, spent)
             } else {
-                (ready[index], ready[index])
+                (ready, ready)
             };
             let request = session.id.value();
             self.tracer.record_with(|| TraceEvent::DraftPhase {
@@ -847,66 +874,51 @@ where
                 tick,
                 request,
             });
-            spent_ms[index] = spent;
-            draft_done[index] = done;
-            verify_widths[index] = round.verify_tokens();
-            drafted[index] = Some(round);
+            work.spent_ms[index] = spent;
+            work.draft_done_ms[index] = done;
+            work.verify_widths[index] = round.verify_tokens();
+            work.drafted[index] = Some(round);
         }
+        work
+    }
 
-        // Verification schedule: collect every session's verify request into
-        // cross-session `BackendBatch` waves.  Sessions whose drafts
-        // finished early can have their wave submitted — and executing in
-        // flight — while the slowest draft phases are still running; the
-        // plan keeps the single grouped batch whenever overlap cannot win,
-        // so the tick never costs more than the historical
-        // wait-for-all-then-verify schedule.
-        let target_latency = self.target.profile().latency().clone();
-        let plan = if pipelined {
-            // Absolute submit times: each cohort's wave goes out the moment
-            // its slowest draft finishes, queueing behind whatever the
-            // device is already running from earlier ticks.
-            plan_verify_waves_pipelined(
-                &draft_done,
-                &verify_widths,
-                &target_latency,
-                self.target.dispatch_overhead_ms(),
-                pipeline_depth,
-                self.target.device_free_ms(),
-            )
-        } else {
-            // Drain-per-tick: the legacy 1–2 wave split over draft times
-            // relative to the tick start.
-            let relative: Vec<f64> = draft_done.iter().map(|done| done - tick_start).collect();
-            plan_verify_waves(
-                &relative,
-                &verify_widths,
-                &target_latency,
-                self.target.dispatch_overhead_ms(),
-            )
-        };
-        let mut ticket_owner = Vec::with_capacity(self.active.len());
-        let mut wave_of = vec![0usize; sessions];
-        for (wave_index, (wave, offset)) in
-            plan.waves.iter().zip(&plan.submit_offsets_ms).enumerate()
+    /// Splits the tick's verify requests into cross-session waves (at most
+    /// `max_in_flight_waves.max(2)` of them) and submits each wave the moment
+    /// its slowest member finishes drafting, so early finishers' verification
+    /// executes while straggler drafts still run.  The plan keeps the single
+    /// grouped batch whenever overlap cannot win.
+    fn plan_and_submit(&mut self, work: &mut TickWork) {
+        let depth = self.config.max_in_flight_waves;
+        let plan = plan_verify_waves(
+            &work.draft_done_ms,
+            &work.verify_widths,
+            self.target.profile().latency(),
+            self.target.dispatch_overhead_ms(),
+            depth.max(2),
+            self.target.device_free_ms(),
+        );
+        work.wave_completed_ms = vec![work.start_ms; plan.waves.len()];
+        for (wave_index, (wave, &planned_ms)) in
+            plan.waves.iter().zip(&plan.submit_at_ms).enumerate()
         {
             let mut batch = BackendBatch::new();
+            let mut charge = 0u64;
             for &index in wave {
-                let round = drafted[index]
+                let round = work.drafted[index]
                     .as_ref()
                     .expect("every planned session drafted this tick");
                 batch.push(self.active[index].decode.verify_request(round));
-                wave_of[index] = wave_index;
+                work.wave_of[index] = wave_index;
+                charge += work.verify_widths[index] as u64;
             }
+            work.wave_charges.push(charge);
             // The in-flight window: with `max_in_flight_waves` batches
             // already outstanding, the next submission stalls until the
             // oldest one completes — bounded speculation ahead of the
-            // device, not an unbounded queue.
-            let mut submit_at = if pipelined {
-                *offset
-            } else {
-                tick_start + offset
-            };
-            while self.outstanding_waves.len() >= pipeline_depth {
+            // device, not an unbounded queue.  At depth 1 a tick's second
+            // wave therefore submits behind its first.
+            let mut submit_at = planned_ms;
+            while self.outstanding_waves.len() >= depth {
                 let oldest = self
                     .outstanding_waves
                     .pop_front()
@@ -914,115 +926,109 @@ where
                 submit_at = submit_at.max(oldest);
             }
             let tickets = self.target.submit(batch, submit_at);
-            if pipelined {
-                self.outstanding_waves
-                    .push_back(self.target.device_free_ms());
-            }
+            self.outstanding_waves
+                .push_back(self.target.device_free_ms());
             if self.tracer.is_enabled() {
-                let ts_ms = submit_at;
                 let ticket_ids: Vec<u64> = tickets.iter().map(|t| t.value()).collect();
                 let requests: Vec<u64> = wave
                     .iter()
                     .map(|&index| self.active[index].id.value())
                     .collect();
                 self.tracer.record_with(|| TraceEvent::VerifyWaveSubmitted {
-                    ts_ms,
-                    tick,
+                    ts_ms: submit_at,
+                    tick: work.tick,
                     wave: wave_index as u64,
                     tickets: ticket_ids,
                     requests,
                 });
             }
-            ticket_owner.extend(
+            work.tickets.extend(
                 tickets
                     .into_iter()
                     .zip(wave.iter().copied())
                     .map(|(ticket, owner)| (ticket, owner, wave_index)),
             );
         }
-        let mut results: Vec<Option<ForwardResult>> = self.active.iter().map(|_| None).collect();
-        let mut tick_end = tick_start;
-        let mut wave_completed = vec![tick_start; plan.waves.len()];
-        // Per-wave device spans for the recorder: every request of a wave
-        // shares its batch's (submitted, started, completed) triple.
-        let mut wave_spans: Vec<Option<(f64, f64, f64)>> = if self.tracer.is_enabled() {
-            vec![None; plan.waves.len()]
-        } else {
-            Vec::new()
-        };
+    }
+
+    /// Collects every verification completion and advances the shared wall
+    /// clock to the last one (drafting in parallel, verification overlapping
+    /// the stragglers).  A session preempted at commit still paid for its
+    /// draft and its share of the verification pass — evicted speculation is
+    /// wasted device time, exactly as on real hardware.
+    fn complete_waves(&mut self, work: &mut TickWork) {
         for result in self.target.poll() {
-            tick_end = tick_end.max(result.completed_ms);
-            let &(_, owner, wave_index) = ticket_owner
+            work.end_ms = work.end_ms.max(result.completed_ms);
+            let &(_, owner, wave_index) = work
+                .tickets
                 .iter()
                 .find(|(ticket, _, _)| *ticket == result.ticket)
                 .expect("every completion answers a ticket submitted this tick");
-            wave_completed[wave_index] = wave_completed[wave_index].max(result.completed_ms);
-            if let Some(span) = wave_spans.get_mut(wave_index) {
-                *span = Some((result.submitted_ms, result.started_ms, result.completed_ms));
-            }
-            results[owner] = Some(result);
+            let completed = &mut work.wave_completed_ms[wave_index];
+            *completed = completed.max(result.completed_ms);
+            work.results[owner] = Some(result);
         }
         if self.tracer.is_enabled() {
-            for (wave_index, span) in wave_spans.into_iter().enumerate() {
-                let Some((submitted_ms, started_ms, completed_ms)) = span else {
-                    continue;
-                };
-                let ticket_ids: Vec<u64> = ticket_owner
+            for wave_index in 0..work.wave_charges.len() {
+                let members: Vec<(Ticket, usize, usize)> = work
+                    .tickets
                     .iter()
-                    .filter(|&&(_, _, wave)| wave == wave_index)
-                    .map(|&(ticket, _, _)| ticket.value())
+                    .copied()
+                    .filter(|&(_, _, wave)| wave == wave_index)
                     .collect();
-                let requests: Vec<u64> = ticket_owner
+                // Every request of a wave shares its batch's (submitted,
+                // started, completed) device span.
+                let span = work.results[members[0].1]
+                    .as_ref()
+                    .expect("every submitted wave completed this tick");
+                let (submitted_ms, started_ms, completed_ms) =
+                    (span.submitted_ms, span.started_ms, span.completed_ms);
+                let tickets = members
                     .iter()
-                    .filter(|&&(_, _, wave)| wave == wave_index)
+                    .map(|(ticket, _, _)| ticket.value())
+                    .collect();
+                let requests = members
+                    .iter()
                     .map(|&(_, owner, _)| self.active[owner].id.value())
                     .collect();
                 self.tracer.record_with(|| TraceEvent::VerifyWaveCompleted {
-                    tick,
+                    tick: work.tick,
                     wave: wave_index as u64,
                     submitted_ms,
                     started_ms,
                     completed_ms,
-                    tickets: ticket_ids,
+                    tickets,
                     requests,
                 });
             }
         }
-
-        // Advance the shared wall clock to the measured completion of the
-        // last verification wave (drafting in parallel, verification
-        // overlapping the stragglers).  (A session preempted below still
-        // paid for its draft and its share of the verification pass —
-        // evicted speculation is wasted device time, exactly as on real
-        // hardware.)
-        let analytic = TickCost::of_round(&spent_ms, &verify_widths, &target_latency);
+        let analytic = TickCost::of_round(
+            &work.spent_ms,
+            &work.verify_widths,
+            self.target.profile().latency(),
+        );
         let cost = TickCost {
-            wall_ms: (tick_end - tick_start).max(0.0),
+            wall_ms: work.end_ms - work.start_ms,
             sequential_ms: analytic.sequential_ms,
         };
-        self.wall_ms = self.wall_ms.max(tick_end);
+        self.wall_ms = self.wall_ms.max(work.end_ms);
         self.stats.record_tick(cost, self.active.len());
+    }
 
-        // Commit per session from its pre-scored verification completion
-        // (acceptance decisions are independent, and the models are pure, so
-        // committing from the backend results is byte-identical to querying
-        // the target inline).  Before each session's commit its round's
-        // block demand is checked against the pool; on exhaustion the
-        // preemption policy evicts sessions until the round fits — or, when
-        // nothing is left to evict, the triggering request itself is dropped
-        // with a memory rejection.
+    /// Commits each session's round from its pre-scored verification
+    /// completion (acceptance decisions are independent and the models are
+    /// pure, so this is byte-identical to querying the target inline), at
+    /// the completion of the session's own wave.  Before each commit the
+    /// round's block demand is checked against the pool; on exhaustion the
+    /// preemption policy evicts sessions until the round fits — or, when
+    /// nothing is left to evict, the triggering request itself is dropped
+    /// with a memory rejection.  Returns how each session leaves the batch.
+    fn commit_rounds(&mut self, work: &mut TickWork) -> Vec<Removal> {
         let mut removal = vec![Removal::Keep; self.active.len()];
-        // Billed width of each wave (= its backend batch's `charge_tokens`):
-        // the denominator of the per-token device-time share that both the
-        // serving stats and the trace-analysis ledger charge speculation
-        // outcomes at, so the two layers agree digit for digit.
-        let wave_charges: Vec<u64> = plan
-            .waves
-            .iter()
-            .map(|wave| wave.iter().map(|&i| verify_widths[i] as u64).sum())
-            .collect();
-        for (index, round) in drafted.into_iter().enumerate() {
-            let round = round.expect("every active session drafted this tick");
+        for index in 0..self.active.len() {
+            let round = work.drafted[index]
+                .take()
+                .expect("every active session drafted this tick");
             if removal[index] != Removal::Keep {
                 continue; // evicted by an earlier session's memory pressure
             }
@@ -1030,18 +1036,11 @@ where
             if removal[index] != Removal::Keep {
                 continue;
             }
-            let result = results[index]
+            let result = work.results[index]
                 .take()
                 .expect("every drafted session was scored by a verification wave");
-            // Commit stamps: under pipelined scheduling each session's
-            // round lands the moment its own wave completes (first tokens
-            // and KV frees carry per-wave timestamps); drain-per-tick
-            // stamps everything at the tick's end, as before.
-            let commit_ms = if pipelined {
-                wave_completed[wave_of[index]].max(tick_start)
-            } else {
-                tick_end
-            };
+            let wave_index = work.wave_of[index];
+            let commit_ms = work.wave_completed_ms[wave_index];
             let wave_service_ms = (result.completed_ms - result.started_ms).max(0.0);
             let session = &mut self.active[index];
             let rounds_before = session.decode.stats().rounds_detail.len();
@@ -1051,33 +1050,34 @@ where
                 .expect("headroom was ensured before verification");
             // Speculation accounting: the round's drafted/accepted counts
             // (everything the verify pass just recorded) and its share of
-            // the wave's device service time, priced per billed token.
+            // the wave's device service time, priced per billed token (the
+            // wave's `charge_tokens`), so the serving stats and the
+            // trace-analysis ledger agree digit for digit.
             let (round_drafted, round_accepted) = session.decode.stats().rounds_detail
                 [rounds_before..]
                 .iter()
                 .fold((0usize, 0usize), |(d, a), r| {
                     (d + r.predicted, a + r.accepted)
                 });
-            let wave_index = wave_of[index];
-            let per_token_ms = wave_service_ms / wave_charges[wave_index].max(1) as f64;
+            let charged = work.verify_widths[index];
+            let per_token_ms = wave_service_ms / work.wave_charges[wave_index].max(1) as f64;
             self.stats.record_verify_outcome(
                 &session.policy_name,
                 session.decode.drafter().label(),
                 round_drafted,
                 round_accepted,
-                verify_widths[index],
+                charged,
                 per_token_ms,
             );
             let request = session.id.value();
-            let charged = verify_widths[index] as u64;
             self.tracer.record_with(|| TraceEvent::VerifyOutcome {
                 ts_ms: commit_ms,
-                tick,
+                tick: work.tick,
                 wave: wave_index as u64,
                 request,
                 drafted: round_drafted as u64,
                 accepted: round_accepted as u64,
-                charged,
+                charged: charged as u64,
             });
             session.ready_ms = commit_ms;
             if session.first_token_ms.is_none() && !session.decode.tokens().is_empty() {
@@ -1087,7 +1087,6 @@ where
                 // A finished session keeps only its position bookkeeping;
                 // releasing its blocks eagerly gives later sessions in this
                 // same tick the headroom first.
-                let request = session.id.value();
                 let blocks = session.decode.kv_blocks_held() as u64;
                 session.decode.release_kv(&mut self.kv);
                 self.tracer.record_with(|| TraceEvent::KvFree {
@@ -1097,6 +1096,12 @@ where
                 });
             }
         }
+        removal
+    }
+
+    /// Mirrors the backends' device gauges and the allocator's exact pool
+    /// gauges into the statistics (and the recorder), stamped at `end_ms`.
+    fn publish_gauges(&mut self, end_ms: f64) {
         // Draft-lane device time lives in the scheduler's modeled timeline
         // (the draft backend itself only counts batch traffic), so fold it
         // into the draft counters before publishing the gauges.
@@ -1107,7 +1112,7 @@ where
         self.stats
             .sync_backend_gauges(&draft_counters, &target_counters);
         self.tracer.record_with(|| TraceEvent::DeviceUtilization {
-            ts_ms: tick_end,
+            ts_ms: end_ms,
             draft_busy_ms: draft_counters.device_busy_ms,
             draft_idle_ms: draft_counters.device_idle_ms,
             target_busy_ms: target_counters.device_busy_ms,
@@ -1131,8 +1136,7 @@ where
             }
         }
 
-        // Mirror the allocator's exact gauges into the statistics: the
-        // per-sub-pool high-water marks catch intra-tick peaks (before
+        // The per-sub-pool high-water marks catch intra-tick peaks (before
         // rollbacks and finishing sessions released), the per-tick sample
         // feeds the steady-state average.
         self.stats.record_kv_occupancy(self.kv.used_blocks());
@@ -1146,7 +1150,7 @@ where
         if self.tracer.is_enabled() {
             let (draft_blocks, target_blocks) = self.kv.sub_pool_used_blocks();
             self.tracer.record_with(|| TraceEvent::KvOccupancy {
-                ts_ms: tick_end,
+                ts_ms: end_ms,
                 draft_blocks: draft_blocks as u64,
                 target_blocks: target_blocks as u64,
             });
@@ -1154,17 +1158,19 @@ where
             let fresh_copies = cow_copies - self.cow_reported;
             if fresh_copies > 0 {
                 self.tracer.record_with(|| TraceEvent::CowCopy {
-                    ts_ms: tick_end,
+                    ts_ms: end_ms,
                     copies: fresh_copies,
                 });
             }
             self.cow_reported = cow_copies;
         }
+    }
 
-        // Retire finished sessions (their batch slots refill next tick;
-        // streaming sessions whose *view* finished emit a partial and either
-        // retire or park for their next chunk) and re-queue preempted ones
-        // at the front, preserving admission order among them.
+    /// Retires finished sessions (their batch slots refill next tick;
+    /// streaming sessions whose *view* finished emit a partial and either
+    /// retire or park for their next chunk) and re-queues preempted ones at
+    /// the front, preserving admission order among them.  Closes the tick.
+    fn retire_sessions(&mut self, removal: Vec<Removal>, work: &TickWork) -> Vec<RequestOutcome> {
         let drained: Vec<(ServerSession, Removal)> = self.active.drain(..).zip(removal).collect();
         let mut outcomes = Vec::new();
         let mut kept = Vec::with_capacity(drained.len());
@@ -1189,8 +1195,8 @@ where
         }
         let completed = outcomes.len() as u64;
         self.tracer.record_with(|| TraceEvent::TickEnd {
-            ts_ms: tick_end,
-            tick,
+            ts_ms: work.end_ms,
+            tick: work.tick,
             completed,
         });
         outcomes
@@ -2444,7 +2450,7 @@ mod tests {
             );
             assert!(
                 wall <= drained_wall + 1e-6,
-                "pipelining at depth {depth} must never lose to drain-per-tick \
+                "pipelining at depth {depth} must never lose to a one-wave window \
                  ({wall:.3} vs {drained_wall:.3})"
             );
         }

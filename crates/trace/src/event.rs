@@ -119,10 +119,9 @@ pub enum TraceEvent {
     },
     /// One session's draft phase within a tick.
     DraftPhase {
-        /// Draft start: the tick start under drain-per-tick scheduling; the
-        /// session's own readiness (its previous wave's completion, possibly
-        /// before the tick start, queued behind the modeled draft-lane
-        /// budget) under pipelined scheduling.
+        /// Draft start: the session's own readiness (its previous wave's
+        /// completion, possibly before the tick start), queued behind the
+        /// modeled draft-lane budget.
         start_ms: f64,
         /// Draft end.
         end_ms: f64,
@@ -165,8 +164,7 @@ pub enum TraceEvent {
     /// drafter proposed, how many the target accepted, and the token width
     /// the verify pass was billed at on the device.
     VerifyOutcome {
-        /// Commit time (the wave's completion, clamped to the tick start
-        /// under pipelined scheduling).
+        /// Commit time (the wave's completion, clamped to the tick start).
         ts_ms: f64,
         /// Tick sequence number.
         tick: u64,

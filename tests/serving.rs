@@ -311,10 +311,11 @@ proptest! {
     /// completions are stamped), the modeled draft budget, the
     /// policy × drafter mix, and the pool pressure (preempting sessions
     /// whose speculative submissions are then cancelled before commit),
-    /// transcripts and shed sets are byte-identical to drain-per-tick, the
-    /// latency breakdowns reconcile, and the pipelined clock never loses.
+    /// transcripts and shed sets are byte-identical to a one-wave window,
+    /// the latency breakdowns reconcile, and the deeper window's clock never
+    /// loses.
     #[test]
-    fn pipelined_scheduling_matches_drain_per_tick(
+    fn deeper_in_flight_windows_match_a_one_wave_window(
         seed in 0u64..100,
         kv_blocks in 24usize..96,
         requests in 2usize..14,
@@ -362,7 +363,7 @@ proptest! {
             (outcomes, shed, preempted, leaked, scheduler.wall_ms())
         };
         // Both runs share the draft-lane budget so the only difference is
-        // the in-flight window: drain-per-tick (depth 1) vs pipelined.
+        // the in-flight window: one wave (depth 1) vs `depth` waves.
         let (reference, reference_shed, _, reference_leak, reference_wall) =
             run(base.with_draft_lanes(draft_lanes));
         let (served, shed, _preempted, leaked, wall) = run(
@@ -387,7 +388,7 @@ proptest! {
         }
         prop_assert!(
             wall <= reference_wall + 1e-6,
-            "pipelining lost to drain-per-tick: {} vs {}",
+            "a deeper window lost to a one-wave window: {} vs {}",
             wall,
             reference_wall
         );

@@ -182,9 +182,9 @@ fn a_single_draft_lane_never_overlaps_draft_phases() {
 }
 
 #[test]
-fn pipelining_starts_draft_work_before_the_tick_boundary_and_shrinks_device_idle() {
+fn pipelining_starts_draft_work_before_the_tick_boundary_and_one_wave_windows_serialise_waves() {
     let setup = StandardSetup::new(900, 12);
-    let drained = traced_pipelined_run(&setup, 1, 0);
+    let one_wave = traced_pipelined_run(&setup, 1, 0);
     let pipelined = traced_pipelined_run(&setup, 4, 0);
 
     // Cross-tick overlap witness: some session's draft phase begins before
@@ -207,23 +207,46 @@ fn pipelining_starts_draft_work_before_the_tick_boundary_and_shrinks_device_idle
         "no draft phase started ahead of its tick under a depth-4 window"
     );
 
-    // The whole point of the pipeline: the target device's between-span
-    // gaps shrink (same busy time, earlier submissions).
-    let final_idle = |recording: &FlightRecording| {
-        recording
-            .events()
-            .filter_map(|event| match event {
-                TraceEvent::DeviceUtilization { target_idle_ms, .. } => Some(*target_idle_ms),
-                _ => None,
-            })
-            .last()
-            .expect("every tick samples device utilization")
-    };
-    let drained_idle = final_idle(&drained);
-    let pipelined_idle = final_idle(&pipelined);
+    // A depth-1 window holds one wave: every wave (across and within ticks)
+    // is submitted no earlier than the previous wave completed.
+    let waves: Vec<(f64, f64)> = one_wave
+        .events()
+        .filter_map(|event| match event {
+            TraceEvent::VerifyWaveCompleted {
+                submitted_ms,
+                completed_ms,
+                ..
+            } => Some((*submitted_ms, *completed_ms)),
+            _ => None,
+        })
+        .collect();
+    assert!(waves.len() > 1, "the cell ran verification waves");
+    for pair in waves.windows(2) {
+        assert!(
+            pair[1].0 >= pair[0].1 - 1e-9,
+            "a wave submitted at {:.3} while the previous one ran until {:.3}",
+            pair[1].0,
+            pair[0].1
+        );
+    }
+    // Rounds still commit at their own wave's completion: an early wave's
+    // sessions commit before the tick ends.
+    let tick_ends: Vec<(u64, f64)> = one_wave
+        .events()
+        .filter_map(|event| match event {
+            TraceEvent::TickEnd { tick, ts_ms, .. } => Some((*tick, *ts_ms)),
+            _ => None,
+        })
+        .collect();
+    let early_commit = one_wave.events().any(|event| match event {
+        TraceEvent::VerifyOutcome { tick, ts_ms, .. } => tick_ends
+            .iter()
+            .any(|(t, end)| t == tick && *ts_ms < end - 1e-9),
+        _ => false,
+    });
     assert!(
-        pipelined_idle < drained_idle,
-        "pipelining must shrink target idle time ({pipelined_idle:.3} vs {drained_idle:.3})"
+        early_commit,
+        "no round committed before its tick's end under a depth-1 window"
     );
 }
 
