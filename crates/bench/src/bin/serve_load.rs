@@ -43,7 +43,7 @@ use specasr_audio::{EncoderProfile, Split};
 use specasr_bench::{emit, ExperimentContext, TraceArgs};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_models::CtcDrafter;
-use specasr_server::{FlightRecording, Scheduler, ServerConfig, ServerStats};
+use specasr_server::{FlightRecording, Scheduler, ServerConfig, ServerStats, Submission};
 use specasr_tokenizer::TokenMapIndex;
 
 /// Utterances per split in the serving corpus (all four splits are served,
@@ -127,10 +127,11 @@ fn run_cell(
     if trace.wants(label) {
         scheduler.set_trace(trace.config());
     }
+    let request = Submission::from(policy).with_drafter(drafter);
     for split in Split::ALL {
         for utterance in context.corpus.split(split) {
             scheduler
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(request, utterance)
                 .expect("queue depth covers the whole request set");
         }
     }

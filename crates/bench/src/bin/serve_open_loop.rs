@@ -46,8 +46,8 @@ use specasr_bench::{emit, ExperimentContext, TraceArgs, EXPERIMENT_SEED};
 use specasr_metrics::{ExperimentRecord, ReportRow};
 use specasr_models::CtcDrafter;
 use specasr_server::{
-    run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, AdmissionOrdering,
-    AdmissionPolicy, LoadGen, Router, RouterConfig, ServerConfig, SloClass,
+    run_open_loop, AdmissionOrdering, AdmissionPolicy, LoadGen, Router, RouterConfig, ServerConfig,
+    SloClass, Submission,
 };
 use specasr_tokenizer::TokenMapIndex;
 
@@ -239,8 +239,9 @@ fn run_drafter_cell(
         }
     }
     let mut loadgen = LoadGen::new(EXPERIMENT_SEED, qps);
-    let workload = (0..REQUESTS_PER_CELL).map(|index| (policy, kind, pool[index % pool.len()]));
-    let report = run_open_loop_drafted(&mut router, &mut loadgen, workload);
+    let request = Submission::from(policy).with_drafter(kind);
+    let workload = (0..REQUESTS_PER_CELL).map(|index| (request, pool[index % pool.len()]));
+    let report = run_open_loop(&mut router, &mut loadgen, workload);
     assert_eq!(report.outcomes.len(), REQUESTS_PER_CELL);
     assert_eq!(report.rejected, 0, "deep queues must never shed");
 
@@ -341,13 +342,13 @@ fn run_ordering_shed_cell(
     );
     let mut loadgen = LoadGen::new(EXPERIMENT_SEED, qps);
     let workload = (0..REQUESTS_PER_CELL).map(|index| {
+        let budget = TTFT_BUDGETS_MS[index % TTFT_BUDGETS_MS.len()];
         (
-            policy,
+            Submission::from(policy).with_ttft_budget_ms(Some(budget)),
             pool[index % pool.len()],
-            Some(TTFT_BUDGETS_MS[index % TTFT_BUDGETS_MS.len()]),
         )
     });
-    let report = run_open_loop_budgeted(&mut router, &mut loadgen, workload);
+    let report = run_open_loop(&mut router, &mut loadgen, workload);
     let fleet = router.fleet_stats();
     let offered = report.submitted + report.rejected;
     let in_budget = report

@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn latency_helpers_read_the_clock() {
         let mut clock = DecodeClock::new();
-        let model = LatencyModel::new(10.0, 0.5, 0.1);
+        let model = LatencyModel::new(10.0, 0.5);
         clock.charge_target(&model, 4);
         let outcome = DecodeOutcome {
             tokens: vec![TokenId::new(5)],

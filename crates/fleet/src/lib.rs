@@ -62,11 +62,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use specasr::Policy;
 use specasr_audio::Utterance;
 use specasr_models::AsrDecoderModel;
 use specasr_server::{
-    RequestId, RequestOutcome, Router, SloClass, SubmitError, Worker, WorkerId, WorkerProfile,
+    RequestId, RequestOutcome, Router, SloClass, Submission, SubmitError, Worker, WorkerId,
+    WorkerProfile,
 };
 use specasr_trace::MetricsRegistry;
 
@@ -123,18 +123,6 @@ impl FleetConfig {
     /// Returns this configuration with a different queue-pressure target.
     pub fn with_queue_target(mut self, queue_target: f64) -> Self {
         self.queue_target = queue_target;
-        self
-    }
-
-    /// Returns this configuration with a different (or disabled) P99 target.
-    pub fn with_e2e_p99_target_ms(mut self, target_ms: Option<f64>) -> Self {
-        self.e2e_p99_target_ms = target_ms;
-        self
-    }
-
-    /// Returns this configuration with a different scale-up profile.
-    pub fn with_scale_profile(mut self, profile: WorkerProfile) -> Self {
-        self.scale_profile = profile;
         self
     }
 
@@ -281,25 +269,14 @@ where
     }
 
     /// Submits one utterance at the current timeline instant (see
-    /// [`Router::submit`]).
+    /// [`Router::submit`]; `request` is a [`Policy`](specasr::Policy) or a
+    /// [`Submission`]).
     pub fn submit(
         &mut self,
-        policy: Policy,
+        request: impl Into<Submission>,
         utterance: &Utterance,
     ) -> Result<RequestId, SubmitError> {
-        self.router.submit(policy, utterance)
-    }
-
-    /// Submits one utterance with a time-to-first-token budget (see
-    /// [`Router::submit_with_budget`]).
-    pub fn submit_with_budget(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        self.router
-            .submit_with_budget(policy, utterance, ttft_budget_ms)
+        self.router.submit(request, utterance)
     }
 
     /// Advances the fleet to `deadline_ms`, running a control-loop
@@ -469,7 +446,7 @@ impl<D: std::fmt::Debug, T: std::fmt::Debug, F> std::fmt::Debug for FleetControl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use specasr::SpeculativeConfig;
+    use specasr::{DrafterKind, Policy, SpeculativeConfig};
     use specasr_audio::{Corpus, EncoderProfile, Split};
     use specasr_models::{ModelProfile, SimulatedAsrModel, TokenizerBinding};
     use specasr_server::{LoadGen, RouterConfig, ServerConfig};
@@ -654,5 +631,14 @@ mod tests {
     #[should_panic(expected = "max_workers")]
     fn inverted_bounds_panic() {
         FleetConfig::default().with_worker_bounds(4, 2).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "no ctc drafter installed; call install_drafter first")]
+    fn submitting_an_uninstalled_drafter_panics() {
+        let (mut fleet, corpus) = fleet(FleetConfig::default(), 1);
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let request = Submission::from(policy).with_drafter(DrafterKind::CtcEncoder);
+        let _ = fleet.submit(request, &corpus.split(Split::TestClean)[0]);
     }
 }

@@ -575,11 +575,6 @@ impl<M: AsrDecoderModel> SyncBackendAdapter<M> {
     pub fn model(&self) -> &M {
         &self.model
     }
-
-    /// Unwraps the adapter back into its model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
 }
 
 impl<M: AsrDecoderModel> AsrBackend for SyncBackendAdapter<M> {
@@ -703,13 +698,6 @@ impl<M: AsrDecoderModel> InFlightSimBackend<M> {
         self
     }
 
-    /// Sets the lane count of the modeled device pool (0 = unbounded).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        let overhead = self.timeline.dispatch_overhead_ms();
-        self.timeline = DeviceTimeline::new(lanes).with_dispatch_overhead_ms(overhead);
-        self
-    }
-
     /// The configured per-batch dispatch overhead.
     pub fn dispatch_overhead_ms(&self) -> f64 {
         self.timeline.dispatch_overhead_ms()
@@ -740,11 +728,6 @@ impl<M: AsrDecoderModel> InFlightSimBackend<M> {
     /// The wrapped model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Unwraps the backend back into its model.
-    pub fn into_model(self) -> M {
-        self.model
     }
 }
 

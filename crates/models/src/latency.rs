@@ -9,12 +9,10 @@
 //! forward_pass_ms(n) = base_ms + per_token_ms · n
 //! ```
 //!
-//! and prefilling a prompt/audio context of `n` tokens costs
-//! `prefill_per_token_ms · n` on top of one base overhead
-//! ([`LatencyModel::prefill_ms`]).  No decode path charges prefill to a
-//! [`DecodeClock`]: the modeled clock prices encoder, draft and
-//! verification passes only, so KV reuse across a prefill changes host time
-//! and KV writes but not modeled latency.  Speedup ratios —
+//! Prefill is not priced: the modeled [`DecodeClock`] charges encoder, draft
+//! and verification passes only (the paper's Fig. 7 splits draft time
+//! against target decode time, nothing else), so KV reuse across a prefill
+//! changes host time and KV writes but not modeled latency.  Speedup ratios —
 //! the quantity every figure reports — depend only on how many draft steps and
 //! how many (and how wide) target verification passes each policy issues,
 //! which this model preserves.  Calibration constants live in
@@ -30,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 /// use specasr_models::LatencyModel;
 ///
-/// let model = LatencyModel::new(20.0, 0.3, 0.1);
+/// let model = LatencyModel::new(20.0, 0.3);
 /// assert_eq!(model.forward_pass_ms(1), 20.3);
 /// assert!(model.forward_pass_ms(16) > model.forward_pass_ms(1));
 /// ```
@@ -38,7 +36,6 @@ use serde::{Deserialize, Serialize};
 pub struct LatencyModel {
     base_ms: f64,
     per_token_ms: f64,
-    prefill_per_token_ms: f64,
 }
 
 impl LatencyModel {
@@ -47,15 +44,14 @@ impl LatencyModel {
     /// # Panics
     ///
     /// Panics if any coefficient is negative.
-    pub fn new(base_ms: f64, per_token_ms: f64, prefill_per_token_ms: f64) -> Self {
+    pub fn new(base_ms: f64, per_token_ms: f64) -> Self {
         assert!(
-            base_ms >= 0.0 && per_token_ms >= 0.0 && prefill_per_token_ms >= 0.0,
+            base_ms >= 0.0 && per_token_ms >= 0.0,
             "latency coefficients must be non-negative"
         );
         LatencyModel {
             base_ms,
             per_token_ms,
-            prefill_per_token_ms,
         }
     }
 
@@ -75,12 +71,6 @@ impl LatencyModel {
     /// `tokens = 0` still pays the base cost (a pass was issued).
     pub fn forward_pass_ms(&self, tokens: usize) -> f64 {
         self.base_ms + self.per_token_ms * tokens as f64
-    }
-
-    /// Cost of prefilling a context of `tokens` tokens (audio embeddings plus
-    /// text prompt) before decoding starts.
-    pub fn prefill_ms(&self, tokens: usize) -> f64 {
-        self.base_ms + self.prefill_per_token_ms * tokens as f64
     }
 }
 
@@ -147,7 +137,7 @@ impl LatencyBreakdown {
 /// use specasr_models::{DecodeClock, LatencyModel};
 ///
 /// let mut clock = DecodeClock::new();
-/// let draft = LatencyModel::new(2.5, 0.05, 0.01);
+/// let draft = LatencyModel::new(2.5, 0.05);
 /// clock.charge_draft(&draft, 1);
 /// clock.charge_draft(&draft, 1);
 /// assert_eq!(clock.draft_passes(), 2);
@@ -239,7 +229,7 @@ mod tests {
 
     #[test]
     fn forward_pass_cost_is_affine_in_tokens() {
-        let model = LatencyModel::new(10.0, 0.5, 0.1);
+        let model = LatencyModel::new(10.0, 0.5);
         assert!((model.forward_pass_ms(0) - 10.0).abs() < 1e-12);
         assert!((model.forward_pass_ms(4) - 12.0).abs() < 1e-12);
         let delta = model.forward_pass_ms(9) - model.forward_pass_ms(8);
@@ -247,22 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn prefill_uses_the_prefill_coefficient() {
-        let model = LatencyModel::new(10.0, 0.5, 0.1);
-        assert!((model.prefill_ms(100) - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_coefficients_panic() {
-        LatencyModel::new(-1.0, 0.1, 0.1);
+        LatencyModel::new(-1.0, 0.1);
     }
 
     #[test]
     fn clock_accumulates_per_component() {
         let mut clock = DecodeClock::new();
-        let draft = LatencyModel::new(2.0, 0.1, 0.05);
-        let target = LatencyModel::new(20.0, 0.3, 0.1);
+        let draft = LatencyModel::new(2.0, 0.1);
+        let target = LatencyModel::new(20.0, 0.3);
         clock.charge_encoder_ms(5.0);
         clock.charge_draft(&draft, 1);
         clock.charge_draft(&draft, 1);
@@ -280,7 +264,7 @@ mod tests {
 
     #[test]
     fn clock_merge_adds_everything() {
-        let draft = LatencyModel::new(2.0, 0.1, 0.05);
+        let draft = LatencyModel::new(2.0, 0.1);
         let mut a = DecodeClock::new();
         a.charge_draft(&draft, 3);
         let mut b = DecodeClock::new();

@@ -151,7 +151,7 @@ impl ModelProfile {
                 agreement_slope: 0.45,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(2.45, 0.055, 0.016),
+            LatencyModel::new(2.45, 0.055),
         )
     }
 
@@ -168,7 +168,7 @@ impl ModelProfile {
                 agreement_slope: 0.33,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(3.4, 0.07, 0.02),
+            LatencyModel::new(3.4, 0.07),
         )
     }
 
@@ -185,7 +185,7 @@ impl ModelProfile {
                 agreement_slope: 0.28,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(9.0, 0.16, 0.05),
+            LatencyModel::new(9.0, 0.16),
         )
     }
 
@@ -202,7 +202,7 @@ impl ModelProfile {
                 agreement_slope: 0.0,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(21.5, 0.20, 0.09),
+            LatencyModel::new(21.5, 0.20),
         )
     }
 
@@ -219,7 +219,7 @@ impl ModelProfile {
                 agreement_slope: 0.42,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(5.6, 0.11, 0.035),
+            LatencyModel::new(5.6, 0.11),
         )
     }
 
@@ -236,7 +236,7 @@ impl ModelProfile {
                 agreement_slope: 0.0,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(27.5, 0.34, 0.17),
+            LatencyModel::new(27.5, 0.34),
         )
     }
 
@@ -253,7 +253,7 @@ impl ModelProfile {
                 agreement_slope: 0.0,
                 runner_up_probability: 0.67,
             },
-            LatencyModel::new(49.0, 0.60, 0.30),
+            LatencyModel::new(49.0, 0.60),
         )
     }
 

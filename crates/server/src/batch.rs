@@ -214,7 +214,7 @@ mod tests {
     use super::*;
 
     fn target() -> LatencyModel {
-        LatencyModel::new(20.0, 0.5, 0.1)
+        LatencyModel::new(20.0, 0.5)
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //!                        RequestOutcome (text + latency breakdown + stats)
 //! ```
 //!
+//! A request enters through one `submit` per layer ([`Scheduler::submit`],
+//! [`Router::submit`], and the fleet controller's) or through
+//! [`run_open_loop`], each taking a [`specasr::Policy`] or a [`Submission`]
+//! that also names the draft source and a time-to-first-token budget.
+//! Streams enter through [`Scheduler::submit_streaming`] and its open-loop
+//! counterpart [`run_open_loop_streaming`].
+//!
 //! # What batching buys
 //!
 //! A verification forward pass costs `base + per_token · n`.  Verifying each
@@ -93,11 +100,10 @@ pub use batch::{grouped_verify_ms, plan_verify_waves, TickCost, VerifyPlan};
 pub use config::{
     AdmissionOrdering, AdmissionPolicy, PreemptPolicy, RouterConfig, ServerConfig, WorkerProfile,
 };
-pub use loadgen::{
-    run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, run_open_loop_streaming, LoadGen,
-    OpenLoopReport,
+pub use loadgen::{run_open_loop, run_open_loop_streaming, LoadGen, OpenLoopReport};
+pub use request::{
+    PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, Submission, SubmitError,
 };
-pub use request::{PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError};
 pub use router::Router;
 pub use scheduler::Scheduler;
 pub use stats::{BackendStats, MemoryStats, ServerStats, SloClassStats};

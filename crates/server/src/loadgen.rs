@@ -13,12 +13,12 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use specasr::{DrafterKind, Policy};
+use specasr::Policy;
 use specasr_audio::Utterance;
 use specasr_models::AsrDecoderModel;
 use specasr_stream::StreamConfig;
 
-use crate::request::RequestOutcome;
+use crate::request::{RequestOutcome, Submission};
 use crate::router::Router;
 use crate::scheduler::Scheduler;
 
@@ -149,87 +149,35 @@ impl OpenLoopReport {
     }
 }
 
-/// Plays an open-loop workload against a router: each `(policy, utterance)`
-/// request arrives at its [`LoadGen`] timestamp while the fleet keeps
-/// serving, and after the last arrival the fleet drains.
+/// Plays an open-loop workload against a router: each `(request, utterance)`
+/// item arrives at its [`LoadGen`] timestamp while the fleet keeps serving,
+/// and after the last arrival the fleet drains.  A request is a [`Policy`]
+/// or a [`Submission`]: per-request drafters measure a
+/// model-draft/CTC/token-map mix under one arrival process (draft-free kinds
+/// must be installed first, [`Router::install_drafter`]); per-request TTFT
+/// budgets class requests into latency SLOs and arm deadline shedding, for
+/// goodput under overload: completions that blew their budget still count
+/// as completed, but not as goodput.
 ///
 /// The run is a pure function of the router construction, the workload
 /// order, and the load generator's seed/rate.
-pub fn run_open_loop<'a, D, T>(
+pub fn run_open_loop<'a, D, T, S>(
     router: &mut Router<D, T>,
     loadgen: &mut LoadGen,
-    workload: impl IntoIterator<Item = (Policy, &'a Utterance)>,
+    workload: impl IntoIterator<Item = (S, &'a Utterance)>,
 ) -> OpenLoopReport
 where
     D: AsrDecoderModel,
     T: AsrDecoderModel,
-{
-    run_open_loop_drafted(
-        router,
-        loadgen,
-        workload
-            .into_iter()
-            .map(|(policy, utterance)| (policy, DrafterKind::ModelDraft, utterance)),
-    )
-}
-
-/// [`run_open_loop`] with per-request drafter selection: each workload item
-/// names its draft source alongside its policy, so one run can measure a
-/// model-draft/CTC/token-map mix (or a pure draft-free fleet) under the same
-/// seeded arrival process.  Draft-free kinds must be installed on the router
-/// first ([`Router::install_drafter`]).
-pub fn run_open_loop_drafted<'a, D, T>(
-    router: &mut Router<D, T>,
-    loadgen: &mut LoadGen,
-    workload: impl IntoIterator<Item = (Policy, DrafterKind, &'a Utterance)>,
-) -> OpenLoopReport
-where
-    D: AsrDecoderModel,
-    T: AsrDecoderModel,
+    S: Into<Submission>,
 {
     let mut outcomes = Vec::new();
     let mut submitted = 0;
     let mut rejected = 0;
-    for (policy, drafter, utterance) in workload {
+    for (request, utterance) in workload {
         let arrival_ms = loadgen.next_arrival_ms();
         outcomes.extend(router.advance_to(arrival_ms));
-        match router.submit_with_drafter(policy, drafter, utterance) {
-            Ok(_) => submitted += 1,
-            Err(_) => rejected += 1,
-        }
-    }
-    outcomes.extend(router.run_until_idle());
-    OpenLoopReport {
-        outcomes,
-        submitted,
-        rejected,
-        last_arrival_ms: loadgen.clock_ms(),
-        drained_ms: router.fleet_stats().wall_ms(),
-    }
-}
-
-/// [`run_open_loop`] with a per-request time-to-first-token budget: each
-/// workload item carries an optional TTFT budget that classes the request
-/// into its latency SLO, arms deadline shedding, and — under
-/// [`crate::AdmissionOrdering::EarliestDeadlineFirst`] — orders admission.
-/// This is the goodput-under-overload driver: completions that blew their
-/// budget still count as completed, but not as goodput.
-pub fn run_open_loop_budgeted<'a, D, T>(
-    router: &mut Router<D, T>,
-    loadgen: &mut LoadGen,
-    workload: impl IntoIterator<Item = (Policy, &'a Utterance, Option<f64>)>,
-) -> OpenLoopReport
-where
-    D: AsrDecoderModel,
-    T: AsrDecoderModel,
-{
-    let mut outcomes = Vec::new();
-    let mut submitted = 0;
-    let mut rejected = 0;
-    for (policy, utterance, ttft_budget_ms) in workload {
-        let arrival_ms = loadgen.next_arrival_ms();
-        outcomes.extend(router.advance_to(arrival_ms));
-        match router.submit_with_budget(policy, utterance, ttft_budget_ms) {
+        match router.submit(request, utterance) {
             Ok(_) => submitted += 1,
             Err(_) => rejected += 1,
         }

@@ -1,8 +1,8 @@
-//! Request identity, admission errors, and the per-request outcome with its
-//! serving-latency breakdown.
+//! Request identity, what a request asks for, admission errors, and the
+//! per-request outcome with its serving-latency breakdown.
 
 use serde::{Deserialize, Serialize};
-use specasr::{DecodeOutcome, Policy};
+use specasr::{DecodeOutcome, DrafterKind, Policy};
 use specasr_audio::UtteranceId;
 
 /// Identity of one transcription request within a scheduler.
@@ -24,6 +24,69 @@ impl RequestId {
 impl std::fmt::Display for RequestId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "req-{}", self.0)
+    }
+}
+
+/// What one request asks of the server: the decode policy, the draft source
+/// it speculates from, and an optional time-to-first-token budget.
+///
+/// Every submission door (`Scheduler::submit`, `Router::submit`, the fleet
+/// controller's `submit`, [`crate::run_open_loop`]) takes
+/// `impl Into<Submission>`, so a bare [`Policy`] submits with the model
+/// draft and no budget:
+///
+/// ```
+/// use specasr::{AdaptiveConfig, DrafterKind, Policy};
+/// use specasr_server::Submission;
+///
+/// let policy = Policy::AdaptiveSingleSequence(AdaptiveConfig::paper());
+/// let plain = Submission::from(policy);
+/// assert_eq!(plain.drafter, DrafterKind::ModelDraft);
+/// assert_eq!(plain.ttft_budget_ms, None);
+/// let ctc = plain
+///     .with_drafter(DrafterKind::CtcEncoder)
+///     .with_ttft_budget_ms(Some(500.0));
+/// assert_eq!(ctc.policy, policy);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Submission {
+    /// The decode policy the request runs under.
+    pub policy: Policy,
+    /// The draft source the request speculates from.  Draft-free kinds must
+    /// be installed on the serving layer first (`install_drafter`); they
+    /// batch together with model-draft requests just like different
+    /// policies do.
+    pub drafter: DrafterKind,
+    /// Optional time-to-first-token budget: a request still unadmitted once
+    /// its queue wait exceeds the budget is shed with a `rejected_deadline`
+    /// count instead of being served uselessly late.  It also sets the
+    /// request's [`SloClass`] and the deadline
+    /// [`crate::AdmissionOrdering::EarliestDeadlineFirst`] orders by.
+    pub ttft_budget_ms: Option<f64>,
+}
+
+impl Submission {
+    /// This submission drafting from `drafter`.
+    pub fn with_drafter(self, drafter: DrafterKind) -> Self {
+        Submission { drafter, ..self }
+    }
+
+    /// This submission with time-to-first-token budget `ttft_budget_ms`.
+    pub fn with_ttft_budget_ms(self, ttft_budget_ms: Option<f64>) -> Self {
+        Submission {
+            ttft_budget_ms,
+            ..self
+        }
+    }
+}
+
+impl From<Policy> for Submission {
+    fn from(policy: Policy) -> Self {
+        Submission {
+            policy,
+            drafter: DrafterKind::ModelDraft,
+            ttft_budget_ms: None,
+        }
     }
 }
 

@@ -29,9 +29,8 @@ use specasr_metrics::Histogram;
 use specasr_models::{splitmix64, AsrDecoderModel, TokenizerBinding};
 
 use crate::config::{RouterConfig, WorkerProfile};
-use crate::request::{RequestId, RequestOutcome, SubmitError};
+use crate::request::{RequestId, RequestOutcome, Submission, SubmitError};
 use crate::scheduler::Scheduler;
-use crate::session::QueuedRequest;
 use crate::stats::ServerStats;
 use crate::worker::{Worker, WorkerId, WorkerState};
 use specasr_trace::{FlightRecording, MetricsRegistry, TraceConfig, TraceEvent, Tracer};
@@ -77,8 +76,8 @@ pub struct Router<D, T> {
     /// current `workers` vector and the ring is rebuilt on every membership
     /// change.  Draining workers hold no points.
     ring: Vec<(u64, usize)>,
-    /// Drafters installed fleet-wide (submission-time validation, and
-    /// replayed onto workers that join later).
+    /// Drafters installed fleet-wide, replayed onto workers that join
+    /// later.
     installed: Vec<Arc<dyn Drafter + Send + Sync>>,
     next_id: u64,
     /// Next worker ordinal: ids are never reused, even after removal.
@@ -309,60 +308,25 @@ where
     }
 
     /// Submits one utterance, arriving now on the global timeline.
+    /// `request` is a [`Policy`] or a [`Submission`] that also names the
+    /// draft source and a time-to-first-token budget.
     ///
     /// Placement follows the consistent-hash ring; if the placed worker's
     /// queue is full the request spills to the shallowest queue instead, and
     /// only when that is also full is the request rejected (fleet-wide
     /// backpressure).
-    pub fn submit(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_with_drafter(policy, DrafterKind::ModelDraft, utterance)
-    }
-
-    /// [`Router::submit`] with an explicit draft source for this request.
     ///
     /// # Panics
     ///
-    /// Panics if `drafter` names a draft-free kind that was not installed
-    /// fleet-wide with [`Router::install_drafter`].
-    pub fn submit_with_drafter(
+    /// Panics if the submission names a draft-free kind that was not
+    /// installed fleet-wide with [`Router::install_drafter`].  The receiving
+    /// worker checks, so a submission the full fleet rejects returns
+    /// [`SubmitError::QueueFull`] first.
+    pub fn submit(
         &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
+        request: impl Into<Submission>,
         utterance: &Utterance,
     ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, drafter, utterance, None)
-    }
-
-    /// [`Router::submit`] with a time-to-first-token budget: requests whose
-    /// queue wait exceeds the budget are shed at admission time, and the
-    /// budget is the deadline [`crate::AdmissionOrdering::EarliestDeadlineFirst`]
-    /// orders by.
-    pub fn submit_with_budget(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, DrafterKind::ModelDraft, utterance, ttft_budget_ms)
-    }
-
-    fn submit_request(
-        &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        assert!(
-            drafter == DrafterKind::ModelDraft
-                || self.installed.iter().any(|d| d.kind() == drafter),
-            "no {} drafter installed; call install_drafter first",
-            drafter.label()
-        );
         let id = RequestId::new(self.next_id);
         let primary = self.placement_slot(id);
         let candidate = if self.workers[primary].queue_depth() < self.config.worker.queue_depth {
@@ -375,31 +339,30 @@ where
             // lands on the hash-placed worker, whose overload caused it).
             return Err(self.workers[primary].scheduler.reject());
         }
-        let request = QueuedRequest {
-            id,
-            policy,
-            drafter,
-            audio: self.binding.bind(utterance),
-            utterance_id: utterance.id(),
-            audio_seconds: utterance.duration_seconds(),
-            encoder_ms: self
-                .encoder
-                .latency_ms_for_audio(utterance.duration_seconds()),
-            arrival_ms: self.now_ms,
-            preemptions: 0,
-            ttft_budget_ms,
-            first_output_emitted: false,
-            stream: None,
-        };
+        let now_ms = self.now_ms;
         let worker = &mut self.workers[candidate];
         if worker.is_idle() {
             // An idle worker's clock lags the timeline; wake it at the
             // arrival instant so its queueing delay starts from zero.
-            worker.scheduler.sync_wall_to(self.now_ms);
+            worker.scheduler.sync_wall_to(now_ms);
         }
-        worker.scheduler.enqueue(request)?;
+        worker
+            .scheduler
+            .submit_as(id, now_ms, request.into(), utterance, None)?;
         self.next_id += 1;
         Ok(id)
+    }
+
+    /// [`Router::submit`] with an explicit draft source.  It only forwards;
+    /// it is kept because the `servebench` crate calls it, and that crate's
+    /// sources change only together with the benchmark definition.
+    pub fn submit_with_drafter(
+        &mut self,
+        policy: Policy,
+        drafter: DrafterKind,
+        utterance: &Utterance,
+    ) -> Result<RequestId, SubmitError> {
+        self.submit(Submission::from(policy).with_drafter(drafter), utterance)
     }
 
     /// Runs one fleet iteration: rebalance queues, then tick the busy worker
@@ -715,8 +678,8 @@ where
         for worker in &mut self.workers {
             worker.scheduler.install_drafter(Arc::clone(&drafter));
         }
-        // Kept for submission-time validation and replayed onto late
-        // joiners; re-installing a kind replaces it.
+        // Kept to replay onto late joiners; re-installing a kind replaces
+        // it.
         if let Some(slot) = self
             .installed
             .iter_mut()
@@ -1071,5 +1034,14 @@ mod tests {
         assert_eq!(accepted, 4);
         assert_eq!(router.queued(), 4);
         assert_eq!(router.fleet_stats().rejected(), 48 - 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "no ctc drafter installed; call install_drafter first")]
+    fn submitting_an_uninstalled_drafter_panics() {
+        let (mut router, corpus) = router(RouterConfig::default().with_workers(2));
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let request = Submission::from(policy).with_drafter(DrafterKind::CtcEncoder);
+        let _ = router.submit(request, &corpus.split(Split::TestClean)[0]);
     }
 }

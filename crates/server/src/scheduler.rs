@@ -19,7 +19,7 @@ use specasr_trace::{FlightRecording, ShedReason, TraceConfig, TraceEvent, Tracer
 use crate::batch::{plan_verify_waves, TickCost};
 use crate::config::{AdmissionOrdering, AdmissionPolicy, PreemptPolicy, ServerConfig};
 use crate::request::{
-    PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, SubmitError,
+    PartialSpan, RequestId, RequestLatency, RequestOutcome, SloClass, Submission, SubmitError,
 };
 use crate::session::{QueuedRequest, ServerSession, StreamState};
 use crate::stats::ServerStats;
@@ -461,90 +461,27 @@ where
         self.queue.is_empty() && self.active.is_empty() && self.waiting.is_empty()
     }
 
-    /// Submits one utterance for transcription under `policy`.
+    /// Submits one utterance for transcription.  `request` is a [`Policy`]
+    /// or a [`Submission`] that also names the draft source and a
+    /// time-to-first-token budget.
     ///
     /// The request is timestamped at the current wall time and queued;
     /// admission happens on the next [`Scheduler::tick`].  Returns the
     /// request id, or [`SubmitError::QueueFull`] once `queue_depth` requests
     /// are already waiting (backpressure — the caller decides whether to
     /// retry, shed, or block).
-    pub fn submit(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_with_budget(policy, utterance, None)
-    }
-
-    /// Like [`Scheduler::submit`], with an optional time-to-first-token
-    /// budget: if the request is still unadmitted once its queue wait
-    /// exceeds the budget, it is shed with a `rejected_deadline` count
-    /// instead of being served uselessly late (latency-SLO admission
-    /// groundwork; the admission ordering itself stays policy-driven).
-    pub fn submit_with_budget(
-        &mut self,
-        policy: Policy,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, DrafterKind::ModelDraft, utterance, ttft_budget_ms)
-    }
-
-    /// Like [`Scheduler::submit`], with an explicit draft source for this
-    /// request (per-request drafter selection — different drafters batch
-    /// together just like different policies do).
     ///
     /// # Panics
     ///
-    /// Panics if `drafter` names a draft-free kind without a matching
+    /// Panics if the submission names a draft-free kind without a matching
     /// [`Scheduler::install_drafter`] call — drafter installation is server
     /// configuration, not request payload, exactly like policy validation.
-    pub fn submit_with_drafter(
+    pub fn submit(
         &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
+        request: impl Into<Submission>,
         utterance: &Utterance,
     ) -> Result<RequestId, SubmitError> {
-        self.submit_request(policy, drafter, utterance, None)
-    }
-
-    fn submit_request(
-        &mut self,
-        policy: Policy,
-        drafter: DrafterKind,
-        utterance: &Utterance,
-        ttft_budget_ms: Option<f64>,
-    ) -> Result<RequestId, SubmitError> {
-        assert!(
-            drafter == DrafterKind::ModelDraft || self.drafter_for(drafter).is_some(),
-            "no {} drafter installed; call install_drafter first",
-            drafter.label()
-        );
-        // Reject before tokenizing: under overload, rejected submissions are
-        // the common case and must not pay for work that gets dropped.
-        if self.queue.len() >= self.config.queue_depth {
-            return Err(self.reject());
-        }
-        let id = RequestId::new(self.next_id);
-        let audio = self.binding.bind(utterance);
-        self.enqueue(QueuedRequest {
-            id,
-            policy,
-            drafter,
-            audio,
-            utterance_id: utterance.id(),
-            audio_seconds: utterance.duration_seconds(),
-            encoder_ms: self
-                .encoder
-                .latency_ms_for_audio(utterance.duration_seconds()),
-            arrival_ms: self.wall_ms,
-            preemptions: 0,
-            ttft_budget_ms,
-            first_output_emitted: false,
-            stream: None,
-        })?;
-        self.next_id += 1;
-        Ok(id)
+        self.submit_next(request.into(), utterance, None)
     }
 
     /// Submits one utterance as a *streaming* request: its audio arrives in
@@ -569,89 +506,126 @@ where
         utterance: &Utterance,
         stream: StreamConfig,
     ) -> Result<RequestId, SubmitError> {
-        self.submit_streaming_with_budget(policy, utterance, stream, None)
+        self.submit_next(Submission::from(policy), utterance, Some(stream))
     }
 
-    /// [`Scheduler::submit_streaming`] with a first-partial deadline budget
-    /// (see [`Scheduler::submit_with_budget`]; the budget only applies until
-    /// the first partial is emitted).
-    pub fn submit_streaming_with_budget(
+    /// Submits under this scheduler's own next id, arriving now.
+    fn submit_next(
         &mut self,
-        policy: Policy,
+        submission: Submission,
         utterance: &Utterance,
-        stream: StreamConfig,
-        ttft_budget_ms: Option<f64>,
+        stream: Option<StreamConfig>,
     ) -> Result<RequestId, SubmitError> {
-        stream.validate();
-        if self.queue.len() + self.waiting.len() >= self.config.queue_depth {
-            return Err(self.reject());
-        }
         let id = RequestId::new(self.next_id);
-        let audio = self.binding.bind(utterance);
-        // Per-utterance jitter: the same utterance streams identically for a
-        // given seed, and distinct requests decorrelate through their id.
-        let seeded = stream.with_seed(splitmix64(
-            stream.chunk.seed ^ utterance.id().value() ^ (id.value() << 17),
-        ));
-        let chunks = chunk_schedule(utterance.duration_seconds(), &seeded.chunk);
-        let chunk_encoder_ms = chunks
-            .iter()
-            .map(|chunk| {
-                self.encoder
-                    .incremental_latency_ms(chunk.duration_seconds(), chunk.index == 0)
-            })
-            .collect();
-        let state = StreamState {
-            session: StreamingSession::new(policy, audio.clone(), seeded),
-            chunks,
-            chunk_encoder_ms,
-            submitted_ms: self.wall_ms,
-            delivered: 0,
-            newest_chunk_arrival_ms: self.wall_ms,
-            pending_encoder_ms: 0.0,
-            first_admitted_ms: None,
-            partials: Vec::new(),
-        };
-        let encoder_ms = self
-            .encoder
-            .latency_ms_for_audio(utterance.duration_seconds());
-        let arrival_ms = self.wall_ms;
-        let audio_seconds = utterance.duration_seconds();
-        self.tracer.record_with(|| TraceEvent::RequestSubmitted {
-            ts_ms: arrival_ms,
-            request: id.value(),
-            encoder_ms,
-            audio_seconds,
-            streaming: true,
-            policy: policy.name(),
-            drafter: DrafterKind::ModelDraft.label().to_string(),
-        });
-        self.waiting.push(QueuedRequest {
-            id,
-            policy,
-            drafter: DrafterKind::ModelDraft,
-            audio,
-            utterance_id: utterance.id(),
-            audio_seconds,
-            encoder_ms,
-            arrival_ms,
-            preemptions: 0,
-            ttft_budget_ms,
-            first_output_emitted: false,
-            stream: Some(Box::new(state)),
-        });
+        self.submit_as(id, self.wall_ms, submission, utterance, stream)?;
         self.next_id += 1;
         Ok(id)
     }
 
-    /// Enqueues an externally built request (the router path: the
-    /// [`crate::Router`] assigns fleet-unique ids and arrival timestamps
-    /// itself).  Applies the same queue-depth backpressure as
-    /// [`Scheduler::submit`].
+    /// The one path a new request takes into a scheduler: checks the
+    /// drafter is installed, applies queue-depth backpressure (parked
+    /// streams count against a new stream), binds the utterance, prices the
+    /// encoder, and queues the request — streams park until their first
+    /// chunk arrives.  The [`crate::Router`] calls it with fleet-unique ids
+    /// and arrivals on its global timeline.
+    pub(crate) fn submit_as(
+        &mut self,
+        id: RequestId,
+        arrival_ms: f64,
+        submission: Submission,
+        utterance: &Utterance,
+        stream: Option<StreamConfig>,
+    ) -> Result<(), SubmitError> {
+        let Submission {
+            policy,
+            drafter,
+            ttft_budget_ms,
+        } = submission;
+        assert!(
+            drafter == DrafterKind::ModelDraft || self.drafter_for(drafter).is_some(),
+            "no {} drafter installed; call install_drafter first",
+            drafter.label()
+        );
+        if let Some(stream) = &stream {
+            stream.validate();
+        }
+        let parked = if stream.is_some() {
+            self.waiting.len()
+        } else {
+            0
+        };
+        // Reject before tokenizing: under overload, rejected submissions are
+        // the common case and must not pay for work that gets dropped.
+        if self.queue.len() + parked >= self.config.queue_depth {
+            return Err(self.reject());
+        }
+        let audio = self.binding.bind(utterance);
+        let audio_seconds = utterance.duration_seconds();
+        let stream = stream.map(|stream| {
+            // Per-utterance jitter: the same utterance streams identically
+            // for a given seed, and distinct requests decorrelate through
+            // their id.
+            let seeded = stream.with_seed(splitmix64(
+                stream.chunk.seed ^ utterance.id().value() ^ (id.value() << 17),
+            ));
+            let chunks = chunk_schedule(audio_seconds, &seeded.chunk);
+            let chunk_encoder_ms = chunks
+                .iter()
+                .map(|chunk| {
+                    self.encoder
+                        .incremental_latency_ms(chunk.duration_seconds(), chunk.index == 0)
+                })
+                .collect();
+            Box::new(StreamState {
+                session: StreamingSession::new(policy, audio.clone(), seeded),
+                chunks,
+                chunk_encoder_ms,
+                submitted_ms: arrival_ms,
+                delivered: 0,
+                newest_chunk_arrival_ms: arrival_ms,
+                pending_encoder_ms: 0.0,
+                first_admitted_ms: None,
+                partials: Vec::new(),
+            })
+        });
+        let request = QueuedRequest {
+            id,
+            policy,
+            drafter,
+            audio,
+            utterance_id: utterance.id(),
+            audio_seconds,
+            encoder_ms: self.encoder.latency_ms_for_audio(audio_seconds),
+            arrival_ms,
+            preemptions: 0,
+            ttft_budget_ms,
+            first_output_emitted: false,
+            stream,
+        };
+        self.record_submitted(&request);
+        if request.stream.is_some() {
+            self.waiting.push(request);
+        } else {
+            self.queue.push_back(request);
+        }
+        Ok(())
+    }
+
+    /// Re-enqueues a request moved from another worker's queue (work
+    /// stealing), under the same queue-depth backpressure as
+    /// [`Scheduler::submit`].  The submission is recorded again on this
+    /// worker's lane, where the request is now served.
     pub(crate) fn enqueue(&mut self, request: QueuedRequest) -> Result<(), SubmitError> {
         if self.queue.len() >= self.config.queue_depth {
             return Err(self.reject());
         }
+        self.record_submitted(&request);
+        self.queue.push_back(request);
+        Ok(())
+    }
+
+    /// Records `request`'s submission on the flight recorder.
+    fn record_submitted(&mut self, request: &QueuedRequest) {
         self.tracer.record_with(|| TraceEvent::RequestSubmitted {
             ts_ms: request.arrival_ms,
             request: request.id.value(),
@@ -661,8 +635,6 @@ where
             policy: request.policy.name(),
             drafter: request.drafter.label().to_string(),
         });
-        self.queue.push_back(request);
-        Ok(())
     }
 
     /// Records a queue-full rejection on this worker's statistics and builds
@@ -1066,7 +1038,6 @@ where
                 session.decode.drafter().label(),
                 round_drafted,
                 round_accepted,
-                charged,
                 per_token_ms,
             );
             let request = session.id.value();
@@ -2216,14 +2187,18 @@ mod tests {
         let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(1));
         let policy = Policy::Autoregressive;
         let split = corpus.split(Split::TestOther);
+        scheduler.submit(policy, &split[0]).expect("queue has room");
         scheduler
-            .submit_with_budget(policy, &split[0], None)
-            .expect("queue has room");
-        scheduler
-            .submit_with_budget(policy, &split[1], Some(1e9))
+            .submit(
+                Submission::from(policy).with_ttft_budget_ms(Some(1e9)),
+                &split[1],
+            )
             .expect("generous budget");
         scheduler
-            .submit_with_budget(policy, &split[2], Some(0.001))
+            .submit(
+                Submission::from(policy).with_ttft_budget_ms(Some(0.001)),
+                &split[2],
+            )
             .expect("tight budget");
         let outcomes = scheduler.run_until_idle();
         assert_eq!(outcomes.len(), 2, "the blown-deadline request is shed");
@@ -2344,14 +2319,18 @@ mod tests {
         let (mut scheduler, corpus) = scheduler(ServerConfig::default().with_max_batch(1));
         let policy = Policy::Autoregressive;
         let split = corpus.split(Split::TestOther);
+        scheduler.submit(policy, &split[0]).expect("queue has room");
         scheduler
-            .submit_with_budget(policy, &split[0], None)
-            .expect("queue has room");
-        scheduler
-            .submit_with_budget(policy, &split[1], Some(1e9))
+            .submit(
+                Submission::from(policy).with_ttft_budget_ms(Some(1e9)),
+                &split[1],
+            )
             .expect("generous budget: relaxed class");
         scheduler
-            .submit_with_budget(policy, &split[2], Some(0.001))
+            .submit(
+                Submission::from(policy).with_ttft_budget_ms(Some(0.001)),
+                &split[2],
+            )
             .expect("tight budget: interactive class, will be shed");
         let outcomes = scheduler.run_until_idle();
         assert_eq!(outcomes.len(), 2);
@@ -2427,7 +2406,10 @@ mod tests {
                     DrafterKind::ModelDraft
                 };
                 scheduler
-                    .submit_with_drafter(policies[index % policies.len()], drafter, utterance)
+                    .submit(
+                        Submission::from(policies[index % policies.len()]).with_drafter(drafter),
+                        utterance,
+                    )
                     .expect("queue has room");
             }
         }
@@ -2569,5 +2551,14 @@ mod tests {
             local.stats().backend().peak_in_flight(),
             remote.stats().backend().peak_in_flight()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "no ctc drafter installed; call install_drafter first")]
+    fn submitting_an_uninstalled_drafter_panics() {
+        let (mut scheduler, corpus) = scheduler(ServerConfig::default());
+        let policy = Policy::Speculative(SpeculativeConfig::short_single());
+        let request = Submission::from(policy).with_drafter(DrafterKind::CtcEncoder);
+        let _ = scheduler.submit(request, &corpus.split(Split::TestClean)[0]);
     }
 }

@@ -303,8 +303,8 @@ impl BackendStats {
 
 /// Speculation-efficiency counters of one `(policy, drafter)` group: how
 /// many draft tokens the group proposed, how many survived verification, and
-/// how the group's share of target-device time splits between useful work
-/// and waste.
+/// how much of the group's share of target-device time rejected drafts
+/// wasted.
 ///
 /// The aggregate [`ServerStats::mean_acceptance`] averages over *everything*
 /// the server ran; this split answers the per-configuration question — which
@@ -313,13 +313,10 @@ impl BackendStats {
 /// (`specasr_trace::analysis`), computed from the same per-wave
 /// service-time shares.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpeculationGroupStats {
+pub(crate) struct SpeculationGroupStats {
     rounds: usize,
     drafted_tokens: usize,
     accepted_tokens: usize,
-    charged_tokens: usize,
-    accepted_work_ms: f64,
-    probe_overhead_ms: f64,
     rejected_draft_ms: f64,
 }
 
@@ -339,11 +336,6 @@ impl SpeculationGroupStats {
         self.accepted_tokens
     }
 
-    /// Token width the group was billed on the device.
-    pub fn charged_tokens(&self) -> usize {
-        self.charged_tokens
-    }
-
     /// Acceptance ratio (accepted / drafted; 0.0 before anything drafted).
     pub fn acceptance(&self) -> f64 {
         if self.drafted_tokens == 0 {
@@ -353,38 +345,15 @@ impl SpeculationGroupStats {
         }
     }
 
-    /// Device milliseconds spent producing accepted tokens.
-    pub fn accepted_work_ms(&self) -> f64 {
-        self.accepted_work_ms
-    }
-
-    /// Device milliseconds spent on probe/bonus positions beyond the drafts.
-    pub fn probe_overhead_ms(&self) -> f64 {
-        self.probe_overhead_ms
-    }
-
     /// Device milliseconds wasted on rejected draft tokens.
     pub fn rejected_draft_ms(&self) -> f64 {
         self.rejected_draft_ms
-    }
-
-    /// Wasted device milliseconds per rejected draft token.
-    pub fn wasted_ms_per_rejected_token(&self) -> f64 {
-        let rejected = self.drafted_tokens.saturating_sub(self.accepted_tokens);
-        if rejected == 0 {
-            0.0
-        } else {
-            self.rejected_draft_ms / rejected as f64
-        }
     }
 
     fn merge(&mut self, other: &SpeculationGroupStats) {
         self.rounds += other.rounds;
         self.drafted_tokens += other.drafted_tokens;
         self.accepted_tokens += other.accepted_tokens;
-        self.charged_tokens += other.charged_tokens;
-        self.accepted_work_ms += other.accepted_work_ms;
-        self.probe_overhead_ms += other.probe_overhead_ms;
         self.rejected_draft_ms += other.rejected_draft_ms;
     }
 }
@@ -534,7 +503,6 @@ impl ServerStats {
         drafter: &str,
         drafted: usize,
         accepted: usize,
-        charged: usize,
         per_token_ms: f64,
     ) {
         // A run has a handful of groups: find the group by borrowed key and
@@ -553,9 +521,6 @@ impl ServerStats {
         group.rounds += 1;
         group.drafted_tokens += drafted;
         group.accepted_tokens += accepted;
-        group.charged_tokens += charged;
-        group.accepted_work_ms += per_token_ms * accepted as f64;
-        group.probe_overhead_ms += per_token_ms * charged.saturating_sub(drafted) as f64;
         group.rejected_draft_ms += per_token_ms * drafted.saturating_sub(accepted) as f64;
     }
 
@@ -817,18 +782,6 @@ impl ServerStats {
     /// Mean draft-token acceptance ratio across completed requests.
     pub fn mean_acceptance(&self) -> f64 {
         self.decode.acceptance_ratio()
-    }
-
-    /// Per `(policy, drafter)` speculation-efficiency groups, label-ordered.
-    pub fn speculation_groups(&self) -> &BTreeMap<(String, String), SpeculationGroupStats> {
-        &self.speculation
-    }
-
-    /// One group's acceptance ratio, if the combination ran.
-    pub fn acceptance_for(&self, policy: &str, drafter: &str) -> Option<f64> {
-        self.speculation
-            .get(&(policy.to_string(), drafter.to_string()))
-            .map(SpeculationGroupStats::acceptance)
     }
 
     /// Total device milliseconds wasted on rejected draft tokens across all

@@ -33,7 +33,6 @@ use crate::vocab::{SpecialToken, TokenId, Vocabulary, WORD_BOUNDARY};
 pub struct Tokenizer {
     vocab: Arc<Vocabulary>,
     max_piece_chars: usize,
-    lowercase: bool,
 }
 
 impl Tokenizer {
@@ -47,15 +46,7 @@ impl Tokenizer {
         Tokenizer {
             vocab: Arc::new(vocab),
             max_piece_chars,
-            lowercase: true,
         }
-    }
-
-    /// Disables input lowercasing (the default matches
-    /// [`crate::VocabularyBuilder`]'s default of lowercasing).
-    pub fn preserve_case(mut self) -> Self {
-        self.lowercase = false;
-        self
     }
 
     /// Returns the underlying vocabulary.
@@ -112,11 +103,7 @@ impl Tokenizer {
     }
 
     fn encode_impl(&self, text: &str, strict: bool) -> Result<Vec<TokenId>, TokenizeError> {
-        let text = if self.lowercase {
-            text.to_lowercase()
-        } else {
-            text.to_owned()
-        };
+        let text = text.to_lowercase();
         let mut ids = Vec::new();
         for word in text.split_whitespace() {
             self.encode_word(word, strict, &mut ids)?;

@@ -132,7 +132,10 @@ pub enum TraceEvent {
     },
     /// A verification wave was submitted to the target backend.
     VerifyWaveSubmitted {
-        /// Submission time (tick start + wave offset).
+        /// Submission time: the wave's absolute `VerifyPlan::submit_at_ms`
+        /// (when its slowest member finished drafting), or later when the
+        /// in-flight window was full and the wave waited for the oldest
+        /// outstanding one to complete.
         ts_ms: f64,
         /// Tick sequence number.
         tick: u64,

@@ -21,10 +21,10 @@ pub mod prelude {
         UtteranceTokens,
     };
     pub use specasr_server::{
-        run_open_loop, run_open_loop_budgeted, run_open_loop_drafted, AdmissionOrdering,
-        AdmissionPolicy, BackendStats, KvPool, LoadGen, MemoryStats, OpenLoopReport, PreemptPolicy,
-        RequestOutcome, Router, RouterConfig, Scheduler, ServerConfig, ServerStats, SloClass,
-        Worker, WorkerId, WorkerProfile,
+        run_open_loop, run_open_loop_streaming, AdmissionOrdering, AdmissionPolicy, BackendStats,
+        KvPool, LoadGen, MemoryStats, OpenLoopReport, PreemptPolicy, RequestOutcome, Router,
+        RouterConfig, Scheduler, ServerConfig, ServerStats, SloClass, Submission, Worker, WorkerId,
+        WorkerProfile,
     };
     pub use specasr_tokenizer::{TokenId, TokenMapIndex, Tokenizer};
 }

@@ -13,9 +13,9 @@ use specasr_audio::{EncoderProfile, Split, Utterance};
 use specasr_fleet::{FleetConfig, FleetController};
 use specasr_models::{CtcDrafter, SimulatedAsrModel};
 use specasr_server::{
-    run_open_loop, run_open_loop_budgeted, AdmissionOrdering, AdmissionPolicy, LoadGen,
-    MetricsRegistry, RequestId, RequestOutcome, Router, RouterConfig, ServerConfig, SloClass,
-    WorkerId, WorkerProfile,
+    run_open_loop, AdmissionOrdering, AdmissionPolicy, LoadGen, MetricsRegistry, RequestId,
+    RequestOutcome, Router, RouterConfig, ServerConfig, SloClass, Submission, WorkerId,
+    WorkerProfile,
 };
 use specasr_suite::StandardSetup;
 use specasr_tokenizer::{TokenId, TokenMapIndex};
@@ -240,7 +240,7 @@ proptest! {
         let mut migrated = build(&setup);
         for &(policy, drafter, utterance) in &workload {
             migrated
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(Submission::from(policy).with_drafter(drafter), utterance)
                 .expect("queues are deep");
         }
         let mut churned = migrated.advance_to(drain_ms);
@@ -251,7 +251,7 @@ proptest! {
         let mut staticrun = build(&setup);
         for &(policy, drafter, utterance) in &workload {
             staticrun
-                .submit_with_drafter(policy, drafter, utterance)
+                .submit(Submission::from(policy).with_drafter(drafter), utterance)
                 .expect("queues are deep");
         }
         let still = staticrun.run_until_idle();
@@ -509,14 +509,13 @@ fn edf_ordering_beats_fifo_on_goodput_under_overload() {
             ),
         );
         let mut loadgen = LoadGen::new(77, 60.0);
-        let report = run_open_loop_budgeted(
+        let report = run_open_loop(
             &mut router,
             &mut loadgen,
             (0..96).map(|i| {
                 (
-                    policy,
+                    Submission::from(policy).with_ttft_budget_ms(Some(BUDGETS[i % BUDGETS.len()])),
                     pool[i % pool.len()],
-                    Some(BUDGETS[i % BUDGETS.len()]),
                 )
             }),
         );

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use specasr::{AdaptiveConfig, AsrPipeline, Policy, SparseTreeConfig, SpeculativeConfig};
 use specasr_audio::{EncoderProfile, Split};
-use specasr_server::{AdmissionPolicy, PreemptPolicy, Scheduler, ServerConfig};
+use specasr_server::{AdmissionPolicy, PreemptPolicy, Scheduler, ServerConfig, Submission};
 use specasr_suite::StandardSetup;
 
 fn serving_policies() -> Vec<Policy> {
@@ -352,7 +352,7 @@ proptest! {
                 let kind = kinds[(salt as usize / 7 + index) % kinds.len()];
                 let utterance = pool[(index * 3 + salt as usize) % pool.len()];
                 scheduler
-                    .submit_with_drafter(policy, kind, utterance)
+                    .submit(Submission::from(policy).with_drafter(kind), utterance)
                     .expect("queue has room");
             }
             let mut outcomes = scheduler.run_until_idle();
